@@ -16,7 +16,7 @@
 
 use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
-use hpsparse_sim::{DeviceSpec, GpuSim};
+use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 
 use crate::candidates::{
@@ -135,10 +135,10 @@ impl Planner {
     }
 
     /// Runs every measurement simulator on the reference cost engine
-    /// ([`GpuSim::set_reference_engine`]) instead of the default fast
-    /// engine. Plans and rationales are identical either way — the engines
-    /// produce the same counters — so this exists purely as a
-    /// differential-testing witness for the planning path.
+    /// ([`GpuSim::set_engine`]) instead of the default fast engine. Plans
+    /// and rationales are identical either way — the engines produce the
+    /// same counters — so this exists purely as a differential-testing
+    /// witness for the planning path.
     pub fn set_reference_engine(&mut self, reference: bool) {
         self.reference_engine = reference;
     }
@@ -199,8 +199,7 @@ impl Planner {
                 let reference = self.reference_engine;
                 self.measured_plan(&fp, ranked, top_n, |device, c| {
                     let kernel = instantiate_spmm(c)?;
-                    let mut sim = GpuSim::new(device.clone());
-                    sim.set_reference_engine(reference);
+                    let mut sim = measurement_sim(device, reference);
                     let run = kernel.run_on(&mut sim, s, &a).ok()?;
                     let verdict = hpsparse_sim::attribute(&run.report, device).verdict();
                     let cycles =
@@ -242,8 +241,7 @@ impl Planner {
                 let reference = self.reference_engine;
                 self.measured_plan(&fp, ranked, top_n, |device, c| {
                     let kernel = instantiate_sddmm(c)?;
-                    let mut sim = GpuSim::new(device.clone());
-                    sim.set_reference_engine(reference);
+                    let mut sim = measurement_sim(device, reference);
                     let run = kernel.run_on(&mut sim, s, &a1, &a2t).ok()?;
                     let verdict = hpsparse_sim::attribute(&run.report, device).verdict();
                     let cycles =
@@ -436,6 +434,18 @@ pub fn mha_measurement_heads(rows: usize, k: usize, heads: usize, salt: usize) -
         .collect()
 }
 
+/// A cold simulator for one measurement, on the reference cost engine when
+/// `reference` is set and on the fast batched engine otherwise.
+fn measurement_sim(device: &DeviceSpec, reference: bool) -> GpuSim {
+    let mut sim = GpuSim::new(device.clone());
+    sim.set_engine(if reference {
+        CostEngine::Reference
+    } else {
+        CostEngine::Batched
+    });
+    sim
+}
+
 /// Cold measured cycles of the fused attention kernel, launch overheads
 /// included (one per launch — the spill pair, when present, pays too).
 pub fn measure_fused_mha(
@@ -446,8 +456,7 @@ pub fn measure_fused_mha(
     q: &[Dense],
     kv: &[Dense],
 ) -> Option<u64> {
-    let mut sim = GpuSim::new(device.clone());
-    sim.set_reference_engine(reference_engine);
+    let mut sim = measurement_sim(device, reference_engine);
     let run = kernel.run_on(&mut sim, s, q, kv, kv).ok()?;
     Some(run.total_cycles() + run.reports.len() as u64 * LAUNCH_OVERHEAD_CYCLES)
 }
@@ -468,8 +477,7 @@ pub fn measure_unfused_mha(
     let spmm = HpSpmm::auto(device, s, head_dim);
     let mut total = 0u64;
     for (qh, kvh) in q.iter().zip(kv) {
-        let mut sim = GpuSim::new(device.clone());
-        sim.set_reference_engine(reference_engine);
+        let mut sim = measurement_sim(device, reference_engine);
         let sd = sddmm.run_on(&mut sim, s, qh, kvh).ok()?;
         let sp = spmm.run_on(&mut sim, s, kvh).ok()?;
         total += sd.report.cycles

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! repro [--quick|--full] [--json DIR] [--trace FILE] [--metrics FILE]
-//!       [--engine NAME] [--selftime-baseline FILE] [--selftime-tolerance F]
-//!       <experiment>...
+//!       [--engine reference|batched] [--selftime-baseline FILE]
+//!       [--selftime-tolerance F] <experiment>...
 //! repro perfdiff OLD.json NEW.json [--tolerance F] [--report FILE]
 //!
 //! experiments:
@@ -49,11 +49,11 @@
 //! CSV, anything else for JSON). Both artefacts are deterministic:
 //! identical invocations produce byte-identical files.
 //!
-//! `--engine NAME` (`reference` / `batched` / `parallel` / `auto`) sets
-//! the process-wide default cost engine every simulator in the run starts
-//! on. All engines produce bit-identical reports, traces and metrics —
-//! the flag exists so the byte-identity can be *demonstrated* (and is
-//! pinned by the `engine_bytes` integration test).
+//! `--engine NAME` (`reference` / `batched`, default `batched`) sets the
+//! process-wide default cost engine every simulator in the run starts on.
+//! Both engines produce bit-identical reports, traces and metrics — the
+//! flag exists so the byte-identity can be *demonstrated* (and is pinned
+//! by the `engine_bytes` integration test).
 //!
 //! `perfdiff OLD.json NEW.json` compares two snapshots (`BENCH_*.json`
 //! or `--metrics` exports) metric by metric: regressions beyond
@@ -108,9 +108,7 @@ fn main() {
             "--engine" => {
                 let name = it.next().unwrap_or_else(|| usage("--engine needs a name"));
                 let engine = hpsparse_sim::CostEngine::parse(&name).unwrap_or_else(|| {
-                    usage(&format!(
-                        "--engine {name}: expected reference, batched, parallel, or auto"
-                    ))
+                    usage(&format!("--engine {name}: expected reference or batched"))
                 });
                 hpsparse_sim::set_default_engine(engine);
             }
@@ -441,7 +439,8 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--quick|--full] [--json DIR] [--trace FILE] [--metrics FILE]\n\
-         \x20            [--engine NAME] [--selftime-baseline FILE] [--selftime-tolerance F]\n\
+         \x20            [--engine reference|batched] [--selftime-baseline FILE]\n\
+         \x20            [--selftime-tolerance F]\n\
          \x20            <experiment>...\n\
          \x20      repro perfdiff OLD.json NEW.json [--tolerance F] [--report FILE]\n\
          experiments: fig9 fig9a30 fig10 table3 table4 tcgnn reorder fig11 \

@@ -1,19 +1,16 @@
-//! `fastcheck` — three-way differential test of the cost engines.
+//! `fastcheck` — two-way differential test of the cost engines.
 //!
 //! Every SpMM/SDDMM kernel (HP kernels plus every registry baseline) runs
-//! on every full-graph registry dataset three times: once on the
-//! **reference** engine (element-wise descriptor expansion, no
-//! memoization), once on the forced **batched** engine (descriptor
-//! batching + warp-signature memoization), and once on the forced
-//! **parallel** engine (chunked capture, set-sharded L2 replay,
-//! deterministic warp-order merge). All three [`LaunchReport`]s must be
-//! *equal* — not approximately, field for field — for every cell. This is
-//! the witness that both fast paths are pure optimisations: same model,
-//! fewer (or concurrent) host instructions.
+//! on every full-graph registry dataset twice: once on the **reference**
+//! engine (element-wise descriptor expansion, no memoization) and once on
+//! the **batched** engine (descriptor batching + warp-signature
+//! memoization). Both [`LaunchReport`]s must be *equal* — not
+//! approximately, field for field — for every cell. This is the witness
+//! that the fast path is a pure optimisation: same model, fewer host
+//! instructions.
 //!
-//! The engines are forced via [`GpuSim::set_engine`] rather than left on
-//! `Auto`, so the parallel column is exercised even on a single-threaded
-//! host where `Auto` would resolve to batched.
+//! Both engines are forced via [`GpuSim::set_engine`], so the check does
+//! not depend on the process-wide default engine.
 //!
 //! Two feature dimensions are checked per cell: the benchmark default
 //! (K = 64), which exercises the vectorized and memo-eligible paths, and an
@@ -58,18 +55,14 @@ pub struct KernelDiff {
 }
 
 impl KernelDiff {
-    /// All three engines' reports equal on every cell?
+    /// Both engines' reports equal on every cell?
     pub fn passed(&self) -> bool {
         self.matching == self.cells
     }
 }
 
-/// The fast engines under test, each forced so `Auto` resolution cannot
-/// silently drop a column.
-const FAST_ENGINES: [(&str, CostEngine); 2] = [
-    ("batched", CostEngine::Batched),
-    ("parallel", CostEngine::Parallel),
-];
+/// The fast engine under test, checked against the reference.
+const FAST_ENGINES: [(&str, CostEngine); 1] = [("batched", CostEngine::Batched)];
 
 fn fold(
     diff: &mut KernelDiff,
@@ -105,7 +98,7 @@ fn fold(
 }
 
 /// Runs the differential sweep: every kernel × every registry graph × every
-/// K in [`CHECK_KS`], one fresh simulator per engine per cell so all three
+/// K in [`CHECK_KS`], one fresh simulator per engine per cell so both
 /// engines see an identically cold L2.
 pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
     let cap = edge_cap(effort);
@@ -233,7 +226,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
 
     let ks: Vec<String> = CHECK_KS.iter().map(|k| k.to_string()).collect();
     let text = format!(
-        "fastcheck — reference vs batched vs parallel cost engines, K ∈ {{{}}}, {} ({}, edge cap {})\n\n{}\n  \
+        "fastcheck — reference vs batched cost engines, K ∈ {{{}}}, {} ({}, edge cap {})\n\n{}\n  \
          verdict: {}\n{}",
         ks.join(", "),
         device.name,
@@ -241,7 +234,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
         edge_cap(effort),
         table::render(&header, &rows),
         if all_match {
-            "every LaunchReport identical across all three engines"
+            "every LaunchReport identical across both engines"
         } else {
             "ENGINE DIVERGENCE:"
         },
@@ -285,15 +278,12 @@ mod tests {
     fn acceptance_every_cell_matches() {
         let out = run(&DeviceSpec::v100(), Effort::Quick);
         assert_eq!(out.json["all_match"].as_bool(), Some(true), "{}", out.text);
-        // Both fast engines checked against the reference on every cell:
+        // The batched engine checked against the reference on every cell:
         // 12 SpMM (hp + 11 registry) + 3 SDDMM (hp + 2 registry), each on
         // 19 graphs × 2 feature dimensions — 570 cells in total.
         let kernels = out.json["kernels"].as_array().unwrap();
         assert_eq!(kernels.len(), 15);
-        assert_eq!(
-            out.json["engines"],
-            serde_json::json!(["batched", "parallel"])
-        );
+        assert_eq!(out.json["engines"], serde_json::json!(["batched"]));
         let mut cells = 0;
         for k in kernels {
             assert_eq!(k["cells"].as_u64(), Some(38), "{}", k["id"]);

@@ -1,6 +1,8 @@
-//! Device specifications for the GPUs used in the paper's evaluation.
+//! Device specifications for the GPUs used in the paper's evaluation, and
+//! the host-side [`CostEngine`] choice every new simulator starts on (the
+//! batched fast engine, or the reference witness it is tested against).
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Cycle costs charged by the model for each architectural event.
 ///
@@ -47,48 +49,27 @@ impl Default for CostModel {
     }
 }
 
-/// Which cost-engine implementation executes a launch. All three produce
+/// Which cost-engine implementation executes a launch. Both produce
 /// bit-identical [`LaunchReport`]s — `repro -- fastcheck` asserts it for
 /// every registry kernel — so the selection is purely a host-speed choice.
 ///
-/// Resolution per launch (see [`GpuSim::launch_named`]):
-///
-/// | engine      | sink attached | otherwise                           |
-/// |-------------|---------------|-------------------------------------|
-/// | `Reference` | reference     | reference                           |
-/// | `Batched`   | batched¹      | batched                             |
-/// | `Parallel`  | batched¹      | parallel                            |
-/// | `Auto`      | batched¹      | parallel at >1 thread, else batched |
-///
-/// ¹ with a sink the tally expands descriptors element-wise regardless, so
-/// the observer sees the exact per-event stream; the parallel engine always
-/// falls back when a sink is attached because event order is a property of
-/// the sequential interleaving.
-///
-/// A *tracer* does not constrain the choice: the parallel engine's
-/// warp-order merge feeds the launch timeline the same per-warp, per-block
-/// and per-wave facts as the sequential loop, so trace and metrics exports
-/// are byte-identical across engines and thread counts (pinned by tests in
-/// `launch.rs` and `hpsparse-bench`).
+/// With an access sink attached (the sanitizer) the tally expands
+/// descriptors element-wise and skips memoization under either engine, so
+/// the observer sees the exact per-event stream. A tracer does not
+/// constrain the choice: trace and metrics exports are byte-identical
+/// across engines and thread counts (pinned by tests in `launch.rs` and
+/// `hpsparse-bench`).
 ///
 /// [`LaunchReport`]: crate::LaunchReport
-/// [`GpuSim::launch_named`]: crate::GpuSim::launch_named
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostEngine {
     /// Element-wise descriptor expansion, no memoization: the slow
     /// differential-testing witness.
     Reference,
-    /// Sequential fast engine: descriptor batching + warp-signature
-    /// memoization against the live L2.
-    Batched,
-    /// Two-phase within-launch parallelism: sequential capture of probe
-    /// descriptors, set-sharded L2 replay on worker threads, deterministic
-    /// warp-order merge.
-    Parallel,
-    /// Resolve per launch: `Parallel` when profitable and no sink is
-    /// attached, `Batched` otherwise. The default.
+    /// The fast engine: descriptor batching + warp-signature memoization
+    /// against the live L2. The default.
     #[default]
-    Auto,
+    Batched,
 }
 
 impl CostEngine {
@@ -97,8 +78,6 @@ impl CostEngine {
         match self {
             CostEngine::Reference => "reference",
             CostEngine::Batched => "batched",
-            CostEngine::Parallel => "parallel",
-            CostEngine::Auto => "auto",
         }
     }
 
@@ -107,46 +86,32 @@ impl CostEngine {
         match name {
             "reference" => Some(CostEngine::Reference),
             "batched" => Some(CostEngine::Batched),
-            "parallel" => Some(CostEngine::Parallel),
-            "auto" => Some(CostEngine::Auto),
             _ => None,
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            CostEngine::Reference => 0,
-            CostEngine::Batched => 1,
-            CostEngine::Parallel => 2,
-            CostEngine::Auto => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            0 => CostEngine::Reference,
-            1 => CostEngine::Batched,
-            2 => CostEngine::Parallel,
-            _ => CostEngine::Auto,
         }
     }
 }
 
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(3 /* Auto */);
+/// Whether new simulators start on [`CostEngine::Reference`].
+static DEFAULT_REFERENCE: AtomicBool = AtomicBool::new(false);
 
-/// Sets the process-wide engine new simulators start on ([`CostEngine::Auto`]
-/// unless overridden). This is how `repro --engine` forces every launch of a
-/// whole run — including the ones experiments make internally — onto one
-/// engine, which the byte-identical-exports tests exploit to diff whole-run
-/// trace files across engines. Explicit `set_engine` calls on a simulator
+/// Sets the process-wide engine new simulators start on
+/// ([`CostEngine::Batched`] unless overridden). This is how `repro
+/// --engine` forces every launch of a whole run — including the ones
+/// experiments make internally — onto one engine, which the
+/// byte-identical-exports tests exploit to diff whole-run trace files
+/// across engines. Explicit `set_engine` calls on a simulator
 /// still win; reported numbers never change either way.
 pub fn set_default_engine(engine: CostEngine) {
-    DEFAULT_ENGINE.store(engine.to_u8(), Ordering::Relaxed);
+    DEFAULT_REFERENCE.store(engine == CostEngine::Reference, Ordering::Relaxed);
 }
 
 /// The current process-wide default engine.
 pub fn default_engine() -> CostEngine {
-    CostEngine::from_u8(DEFAULT_ENGINE.load(Ordering::Relaxed))
+    if DEFAULT_REFERENCE.load(Ordering::Relaxed) {
+        CostEngine::Reference
+    } else {
+        CostEngine::Batched
+    }
 }
 
 /// Static description of a GPU: everything Eq. 3–5 of the paper and the
@@ -273,16 +238,12 @@ mod tests {
 
     #[test]
     fn engine_labels_round_trip() {
-        for engine in [
-            CostEngine::Reference,
-            CostEngine::Batched,
-            CostEngine::Parallel,
-            CostEngine::Auto,
-        ] {
+        for engine in [CostEngine::Reference, CostEngine::Batched] {
             assert_eq!(CostEngine::parse(engine.label()), Some(engine));
-            assert_eq!(CostEngine::from_u8(engine.to_u8()), engine);
         }
-        assert_eq!(CostEngine::parse("turbo"), None);
+        for retired in ["turbo", "parallel", "auto"] {
+            assert_eq!(CostEngine::parse(retired), None);
+        }
     }
 
     #[test]

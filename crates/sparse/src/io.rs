@@ -88,9 +88,12 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Coo, IoError> {
         });
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
-    let mut ri = Vec::with_capacity(nnz);
-    let mut ci = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
+    // `nnz` comes from the file: reserve at most this many entries up
+    // front and let the vectors grow past it only as real lines arrive.
+    const MAX_RESERVE: usize = 1 << 20;
+    let mut ri = Vec::with_capacity(nnz.min(MAX_RESERVE));
+    let mut ci = Vec::with_capacity(nnz.min(MAX_RESERVE));
+    let mut vals = Vec::with_capacity(nnz.min(MAX_RESERVE));
     for (no, line) in lines {
         let line = line?;
         let trimmed = line.trim();
@@ -98,36 +101,36 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Coo, IoError> {
             continue;
         }
         let mut it = trimmed.split_whitespace();
-        let parse = |tok: Option<&str>, what: &str| -> Result<f64, IoError> {
-            tok.ok_or_else(|| IoError::Parse {
-                line: no + 1,
-                message: format!("missing {what}"),
-            })?
-            .parse::<f64>()
-            .map_err(|e| IoError::Parse {
-                line: no + 1,
-                message: e.to_string(),
-            })
+        let err = |message: String| IoError::Parse {
+            line: no + 1,
+            message,
         };
-        let r = parse(it.next(), "row index")? as u64;
-        let c = parse(it.next(), "column index")? as u64;
+        let mut next = |what: &str| it.next().ok_or_else(|| err(format!("missing {what}")));
+        // Indices are 1-based integers that must fit a `u32` row/column
+        // id; fractional, negative and oversized values are rejected, never
+        // truncated.
+        let mut index = |what: &str| -> Result<u32, IoError> {
+            match next(what)?.parse::<u32>() {
+                Ok(0) => Err(err("Matrix Market indices are 1-based".into())),
+                Ok(i) => Ok(i - 1),
+                Err(e) => Err(err(format!("{what}: {e}"))),
+            }
+        };
+        let r = index("row index")?;
+        let c = index("column index")?;
         let v = if pattern {
             1.0
         } else {
-            parse(it.next(), "value")?
+            next("value")?
+                .parse::<f64>()
+                .map_err(|e| err(e.to_string()))?
         };
-        if r == 0 || c == 0 {
-            return Err(IoError::Parse {
-                line: no + 1,
-                message: "Matrix Market indices are 1-based".into(),
-            });
-        }
-        ri.push((r - 1) as u32);
-        ci.push((c - 1) as u32);
+        ri.push(r);
+        ci.push(c);
         vals.push(v as f32);
         if symmetric && r != c {
-            ri.push((c - 1) as u32);
-            ci.push((r - 1) as u32);
+            ri.push(c);
+            ci.push(r);
             vals.push(v as f32);
         }
     }
@@ -236,6 +239,23 @@ mod tests {
         assert!(read_matrix_market(Cursor::new(garbage)).is_err());
         let missing = "% no header terminator\n";
         assert!(read_matrix_market(Cursor::new(missing)).is_err());
+        // Indices are integers in u32 range: no silent truncation of an
+        // oversized, fractional or negative index.
+        for entry in ["4294967297 1.5 3.0", "1 1.5 3.0", "-1 1 3.0"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n{entry}\n");
+            assert!(
+                matches!(
+                    read_matrix_market(Cursor::new(text)),
+                    Err(IoError::Parse { .. })
+                ),
+                "{entry}"
+            );
+        }
+        // A corrupt header nnz must not size an allocation.
+        let huge =
+            "%%MatrixMarket matrix coordinate real general\n2 2 18446744073709551615\n1 1 3.0\n";
+        let coo = read_matrix_market(Cursor::new(huge)).unwrap();
+        assert_eq!(coo.nnz(), 1);
     }
 
     #[test]
