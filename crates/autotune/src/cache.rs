@@ -37,8 +37,12 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            entries: BTreeMap::new(),
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// Looks up a plan, counting a hit or a miss.
@@ -158,12 +162,7 @@ fn parse_entry(e: &Value) -> Option<(OpKind, u64, CachedPlan)> {
     let key = u64::from_str_radix(e.get("key")?.as_str()?, 16).ok()?;
     let config = match e.get("config") {
         None | Some(Value::Null) => None,
-        Some(c) => Some(HpConfig {
-            nnz_per_warp: c.get("nnz_per_warp")?.as_u64()? as usize,
-            vector_width: c.get("vector_width")?.as_u64()? as u32,
-            warps_per_block: c.get("warps_per_block")?.as_u64()? as u32,
-            alpha: c.get("alpha")?.as_f64()?,
-        }),
+        Some(c) => Some(parse_config(c)?),
     };
     Some((
         op,
@@ -178,6 +177,27 @@ fn parse_entry(e: &Value) -> Option<(OpKind, u64, CachedPlan)> {
             },
         },
     ))
+}
+
+/// Parses a persisted HP configuration, rejecting any the kernels cannot
+/// launch (a zero chunk or block size, an unsupported vector width, a
+/// value that does not fit its field, a non-finite `alpha`): the entry is
+/// then skipped and the shape replanned rather than crashing the first
+/// launch.
+fn parse_config(c: &Value) -> Option<HpConfig> {
+    let uint = |name: &str| c.get(name)?.as_u64();
+    let config = HpConfig {
+        nnz_per_warp: usize::try_from(uint("nnz_per_warp")?).ok()?,
+        vector_width: u32::try_from(uint("vector_width")?).ok()?,
+        warps_per_block: u32::try_from(uint("warps_per_block")?).ok()?,
+        alpha: c.get("alpha")?.as_f64()?,
+    };
+    let valid = config.nnz_per_warp > 0
+        && matches!(config.vector_width, 1 | 2 | 4)
+        // A CUDA block holds at most 1024 threads.
+        && (1..=32).contains(&config.warps_per_block)
+        && config.alpha.is_finite();
+    valid.then_some(config)
 }
 
 #[cfg(test)]
@@ -267,6 +287,52 @@ mod tests {
         ]}"#;
         let cache = PlanCache::from_json_str(text).unwrap();
         assert_eq!(cache.len(), 1, "only the well-formed entry survives");
+    }
+
+    /// A one-entry cache file whose HP config has `field` set to `value`.
+    fn cache_with_config_field(field: &str, value: &str) -> String {
+        let config = [
+            ("nnz_per_warp", "256"),
+            ("vector_width", "4"),
+            ("warps_per_block", "8"),
+            ("alpha", "4.0"),
+        ]
+        .map(|(name, default)| {
+            format!(
+                r#""{name}": {}"#,
+                if name == field { value } else { default }
+            )
+        })
+        .join(", ");
+        format!(
+            r#"{{"version": 1, "entries": [{{"op": "spmm", "key": "2a", "fingerprint": "f",
+                "kernel_id": "hp:npw=256", "config": {{{config}}}, "predicted_cycles": 9,
+                "rationale": "r"}}]}}"#
+        )
+    }
+
+    #[test]
+    fn unlaunchable_configs_are_skipped() {
+        let valid = PlanCache::from_json_str(&cache_with_config_field("alpha", "4.0"));
+        assert_eq!(valid.unwrap().len(), 1, "the unmodified entry loads");
+        for (field, value) in [
+            ("vector_width", "0"),
+            ("vector_width", "3"),
+            ("vector_width", "8"),
+            // 2^32 + 2 would truncate to a valid-looking width of 2.
+            ("vector_width", "4294967298"),
+            ("warps_per_block", "0"),
+            ("warps_per_block", "33"),
+            ("warps_per_block", "4294967304"),
+            ("nnz_per_warp", "0"),
+            ("nnz_per_warp", "-1"),
+            // Out of `f64` range: parses as ±infinity.
+            ("alpha", "1e400"),
+            ("alpha", "-1e400"),
+        ] {
+            let cache = PlanCache::from_json_str(&cache_with_config_field(field, value)).unwrap();
+            assert!(cache.is_empty(), "{field} = {value} must be skipped");
+        }
     }
 
     #[test]

@@ -308,7 +308,7 @@ fn baseline_cycles(
     }
 }
 
-/// Kernel-launch overhead in cycles, matching the accounting backends'
+/// Kernel-launch overhead in cycles, matching the simulated backend's
 /// `LAUNCH_OVERHEAD_CYCLES` (≈ 3.5 µs of driver + runtime per launch at
 /// V100 clocks). It is what makes the unfused pipeline's three launches
 /// per head expensive on small graphs even when bandwidth is free.

@@ -463,8 +463,8 @@ pub fn measure_fused_mha(
 
 /// Cold measured cycles of the unfused three-launch pipeline: per head an
 /// HP-SDDMM launch, a rooflined edge-softmax pass, and an HP-SpMM launch,
-/// each with its launch overhead — exactly how the accounting backends
-/// charge the no-fuse path, so the knob's comparison is apples-to-apples.
+/// each with its launch overhead — exactly how the simulated backend
+/// charges the no-fuse path, so the knob's comparison is apples-to-apples.
 pub fn measure_unfused_mha(
     device: &DeviceSpec,
     reference_engine: bool,

@@ -3,13 +3,13 @@
 //! Part 1, full-graph registry (19 graphs, K = 64): every SpMM/SDDMM
 //! candidate is measured cold to establish the per-graph *oracle* (best
 //! possible kernel), then the `Measured` planner's pick is compared to it
-//! (oracle-match rate) and `AutoBackend` is raced end-to-end against
-//! `HpBackend` (always-HP, the paper's selector) and against the best
+//! (oracle-match rate) and the planned `SimBackend` is raced end-to-end
+//! against the pinned-HP one (always-HP, the paper's selector) and the best
 //! *fixed* baseline kernel pair chosen in hindsight across the whole
 //! registry.
 //!
 //! Part 2, sampling corpus: a slice of the Fig. 10 subgraph corpus is
-//! pushed through one `AutoBackend` twice. The first pass plans every
+//! pushed through one planned `SimBackend` twice. The first pass plans every
 //! distinct shape (cache misses, simulator launches); the second pass
 //! must be served entirely from the plan cache — zero planning launches.
 
@@ -20,7 +20,7 @@ use hpsparse_autotune::{
     GraphFingerprint, PlanStrategy, Planner,
 };
 use hpsparse_datasets::{full_graph_dataset, store};
-use hpsparse_gnn::{AutoBackend, HpBackend, SparseBackend};
+use hpsparse_gnn::{SimBackend, SparseBackend};
 use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 use serde_json::json;
@@ -84,14 +84,16 @@ pub struct GraphResult {
     pub sddmm_oracle: String,
     /// SDDMM oracle match.
     pub sddmm_match: bool,
-    /// AutoBackend end-to-end sparse cycles (SpMM + SDDMM, cold per op).
+    /// Planned backend's end-to-end sparse cycles (SpMM + SDDMM, cold per
+    /// op).
     pub auto_cycles: u64,
-    /// HpBackend cycles under identical conditions.
+    /// Pinned-HP backend's cycles under identical conditions.
     pub hp_cycles: u64,
     /// Best *fixed* registry-baseline pair's cycles (chosen in hindsight
     /// across the whole registry, so per graph it may lose badly).
     pub fixed_cycles: u64,
-    /// Simulated cycles AutoBackend spent planning (metered separately).
+    /// Simulated cycles the planned backend spent planning (metered
+    /// separately).
     pub planning_cycles: u64,
 }
 
@@ -165,27 +167,18 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult
 
             // End-to-end race, one fresh backend per op so every kernel
             // runs under identical cold-cache conditions.
-            let run_auto = |op: usize| {
-                let mut b = AutoBackend::new(device.clone());
-                if op == 0 {
-                    b.spmm(s, &a);
-                } else {
-                    b.sddmm(s, &a1, &a2t);
-                }
-                (b.sparse_cycles(), b.planning_cycles())
+            let race = |new: fn(DeviceSpec) -> SimBackend| {
+                let mut spmm = new(device.clone());
+                spmm.spmm(s, &a);
+                let mut sddmm = new(device.clone());
+                sddmm.sddmm(s, &a1, &a2t);
+                (
+                    spmm.sparse_cycles() + sddmm.sparse_cycles(),
+                    spmm.planning_cycles() + sddmm.planning_cycles(),
+                )
             };
-            let (auto_spmm, plan_spmm_cost) = run_auto(0);
-            let (auto_sddmm, plan_sddmm_cost) = run_auto(1);
-            let run_hp = |op: usize| {
-                let mut b = HpBackend::new(device.clone());
-                if op == 0 {
-                    b.spmm(s, &a);
-                } else {
-                    b.sddmm(s, &a1, &a2t);
-                }
-                b.sparse_cycles()
-            };
-            let hp_cycles = run_hp(0) + run_hp(1);
+            let (auto_cycles, planning_cycles) = race(SimBackend::new);
+            let (hp_cycles, _) = race(SimBackend::hp);
 
             let overhead = 2 * hpsparse_gnn::backend::LAUNCH_OVERHEAD_CYCLES;
             let fixed_cycles = cycles_for(&table.spmm, &fixed_spmm)
@@ -201,10 +194,10 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult
                 sddmm_pick: sddmm_plan.kernel_id.clone(),
                 sddmm_oracle,
                 sddmm_match: sddmm_plan.predicted_cycles == sddmm_best,
-                auto_cycles: auto_spmm + auto_sddmm,
+                auto_cycles,
                 hp_cycles,
                 fixed_cycles,
-                planning_cycles: plan_spmm_cost + plan_sddmm_cost,
+                planning_cycles,
             }
         })
         .collect()
@@ -278,7 +271,7 @@ pub fn collect_corpus(device: &DeviceSpec, effort: Effort, k: usize) -> CorpusRe
     distinct.sort_unstable();
     distinct.dedup();
 
-    let mut backend = AutoBackend::new(device.clone());
+    let mut backend = SimBackend::new(device.clone());
     for (s, a) in &inputs {
         backend.spmm(s, a);
     }
@@ -445,7 +438,7 @@ mod tests {
             "combined oracle-match rate too low:\n{}",
             out.text
         );
-        // AutoBackend never loses to the always-HP backend on any graph.
+        // The planned backend never loses to the pinned-HP one on any graph.
         assert_eq!(
             out.json["auto_never_worse_than_hp"].as_bool(),
             Some(true),

@@ -11,9 +11,7 @@ use crate::table;
 use hpsparse_datasets::features::{planted_labels, random_features};
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
-use hpsparse_gnn::{
-    train_full_graph, train_graph_sampling, BaselineBackend, GcnConfig, HpBackend, TrainConfig,
-};
+use hpsparse_gnn::{train_full_graph, train_graph_sampling, GcnConfig, SimBackend, TrainConfig};
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
 
@@ -95,25 +93,15 @@ pub fn run(effort: Effort) -> ExperimentOutput {
                 sample_nodes: (g.num_nodes() / 8).clamp(256, 4096),
                 seed: 3,
             };
-            let run_one = |hp: bool| {
-                if hp {
-                    let mut b = HpBackend::new(device.clone());
-                    if w.sampling {
-                        train_graph_sampling(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
-                    } else {
-                        train_full_graph(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
-                    }
+            let run_one = |mut b: SimBackend| {
+                if w.sampling {
+                    train_graph_sampling(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
                 } else {
-                    let mut b = BaselineBackend::new(device.clone());
-                    if w.sampling {
-                        train_graph_sampling(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
-                    } else {
-                        train_full_graph(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
-                    }
+                    train_full_graph(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
                 }
             };
-            let base = run_one(false);
-            let hp = run_one(true);
+            let base = run_one(SimBackend::baseline(device.clone()));
+            let hp = run_one(SimBackend::hp(device.clone()));
             let speedup = base.total_ms / hp.total_ms;
             rows.push(vec![
                 w.framework.to_string(),

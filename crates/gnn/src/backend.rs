@@ -3,10 +3,15 @@
 //! A backend executes SpMM / SDDMM numerically (the training loop really
 //! trains) while accumulating the *simulated* GPU cycles those kernels
 //! would take — the quantity Table V compares "w/o HP-SpMM" vs
-//! "w/ HP-SpMM". Dense operations (GEMMs, activations) cost the same under
-//! either backend, so they are accounted with a roofline estimate shared by
-//! both; the speedup ratio then behaves like the paper's NSys-measured
-//! total CUDA computation time.
+//! "w/ HP-SpMM". There is one simulated backend, [`SimBackend`], with one
+//! cost ledger and three kernel choices: pinned to the HP kernels
+//! ([`SimBackend::hp`]), pinned to the framework defaults
+//! ([`SimBackend::baseline`]), or planned per sparse shape by the
+//! autotuner ([`SimBackend::new`]). [`CpuBackend`] is the numeric
+//! reference and accounts nothing. Dense operations (GEMMs, activations)
+//! cost the same under every kernel choice, so they are accounted with a
+//! roofline estimate shared by all; the speedup ratio then behaves like the
+//! paper's NSys-measured total CUDA computation time.
 
 use hpsparse_autotune::{
     edge_softmax_cycles, instantiate_fused_mha, instantiate_sddmm, instantiate_spmm,
@@ -43,7 +48,7 @@ pub fn elementwise_cycles(device: &DeviceSpec, elems: usize) -> u64 {
 }
 
 /// Fixed per-kernel-launch overhead (driver + runtime), charged once per
-/// sparse or dense operation by the accounting backends. Real frameworks
+/// sparse or dense operation by [`SimBackend`]. Real frameworks
 /// issue hundreds of small launches per training iteration; this is what
 /// keeps tiny sampled-subgraph iterations from showing implausible
 /// kernel-swap speedups (≈ 3.5 µs at V100 clocks). Shared with the
@@ -129,286 +134,186 @@ pub fn unfused_mha(
     (outputs, attn)
 }
 
-/// Backend running the paper's HP kernels (auto DTP + HVMA per call).
-pub struct HpBackend {
-    sim: GpuSim,
-    sparse_cycles: u64,
-    dense_cycles: u64,
+/// Which kernels a [`SimBackend`] launches.
+enum KernelChoice {
+    /// The paper's HP kernels (auto DTP + HVMA per call), fused attention.
+    Hp,
+    /// The framework defaults the paper replaces: cuSPARSE CSR SpMM (DGL's
+    /// default), DGL's edge-parallel SDDMM and unfused attention.
+    Baseline,
+    /// Planned on first sight of each sparse shape (via
+    /// `hpsparse-autotune`), replayed from the cache thereafter.
+    Planned {
+        planner: Box<Planner>,
+        cache: PlanCache,
+    },
 }
 
-impl HpBackend {
-    /// Builds an HP backend for `device`.
-    pub fn new(device: DeviceSpec) -> Self {
-        Self {
-            sim: GpuSim::new(device),
-            sparse_cycles: 0,
-            dense_cycles: 0,
-        }
-    }
-}
-
-impl SparseBackend for HpBackend {
-    fn name(&self) -> &'static str {
-        "hp"
-    }
-
-    fn spmm(&mut self, s: &Hybrid, a: &Dense) -> Dense {
-        let device = self.sim.device().clone();
-        let kernel = HpSpmm::auto(&device, s, a.cols());
-        let run = kernel.run_on(&mut self.sim, s, a).expect("valid dims");
-        self.sparse_cycles += run.report.cycles + LAUNCH_OVERHEAD_CYCLES;
-        run.output
-    }
-
-    fn sddmm(&mut self, s: &Hybrid, a1: &Dense, a2t: &Dense) -> Vec<f32> {
-        let device = self.sim.device().clone();
-        let kernel = HpSddmm::auto(&device, s, a1.cols());
-        let run = kernel
-            .run_on(&mut self.sim, s, a1, a2t)
-            .expect("valid dims");
-        self.sparse_cycles += run.report.cycles + LAUNCH_OVERHEAD_CYCLES;
-        run.output_values
-    }
-
-    fn mha(
-        &mut self,
-        s: &Hybrid,
-        q: &[Dense],
-        k: &[Dense],
-        v: &[Dense],
-    ) -> (Vec<Dense>, Vec<Vec<f32>>) {
-        let device = self.sim.device().clone();
-        let kernel = HpFusedMha::auto(&device, s, q.first().map_or(1, Dense::cols));
-        let run = kernel
-            .run_on(&mut self.sim, s, q, k, v)
-            .expect("valid dims");
-        self.sparse_cycles +=
-            run.total_cycles() + run.reports.len() as u64 * LAUNCH_OVERHEAD_CYCLES;
-        (run.outputs, run.attn)
-    }
-
-    fn account_dense(&mut self, cycles: u64) {
-        self.dense_cycles += cycles;
-    }
-
-    fn sparse_cycles(&self) -> u64 {
-        self.sparse_cycles
-    }
-
-    fn dense_cycles(&self) -> u64 {
-        self.dense_cycles
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        self.sim.device()
-    }
-
-    fn sim_mut(&mut self) -> Option<&mut GpuSim> {
-        Some(&mut self.sim)
-    }
-
-    fn reset_counters(&mut self) {
-        self.sparse_cycles = 0;
-        self.dense_cycles = 0;
-    }
-}
-
-/// Backend running the framework-default kernels the paper replaces:
-/// cuSPARSE CSR SpMM (DGL's default) and DGL's edge-parallel SDDMM.
-pub struct BaselineBackend {
-    sim: GpuSim,
-    sparse_cycles: u64,
-    dense_cycles: u64,
-}
-
-impl BaselineBackend {
-    /// Builds a baseline backend for `device`.
-    pub fn new(device: DeviceSpec) -> Self {
-        Self {
-            sim: GpuSim::new(device),
-            sparse_cycles: 0,
-            dense_cycles: 0,
-        }
-    }
-}
-
-impl SparseBackend for BaselineBackend {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
-    fn spmm(&mut self, s: &Hybrid, a: &Dense) -> Dense {
-        let run = CusparseCsrAlg2
-            .run_on(&mut self.sim, s, a)
-            .expect("valid dims");
-        self.sparse_cycles += run.report.cycles + LAUNCH_OVERHEAD_CYCLES;
-        run.output
-    }
-
-    fn sddmm(&mut self, s: &Hybrid, a1: &Dense, a2t: &Dense) -> Vec<f32> {
-        let run = DglSddmm
-            .run_on(&mut self.sim, s, a1, a2t)
-            .expect("valid dims");
-        self.sparse_cycles += run.report.cycles + LAUNCH_OVERHEAD_CYCLES;
-        run.output_values
-    }
-
-    fn mha(
-        &mut self,
-        s: &Hybrid,
-        q: &[Dense],
-        k: &[Dense],
-        v: &[Dense],
-    ) -> (Vec<Dense>, Vec<Vec<f32>>) {
-        unfused_mha(self, s, q, k, v)
-    }
-
-    fn account_dense(&mut self, cycles: u64) {
-        self.dense_cycles += cycles;
-    }
-
-    fn sparse_cycles(&self) -> u64 {
-        self.sparse_cycles
-    }
-
-    fn dense_cycles(&self) -> u64 {
-        self.dense_cycles
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        self.sim.device()
-    }
-
-    fn sim_mut(&mut self) -> Option<&mut GpuSim> {
-        Some(&mut self.sim)
-    }
-
-    fn reset_counters(&mut self) {
-        self.sparse_cycles = 0;
-        self.dense_cycles = 0;
-    }
-}
-
-/// Autotuning backend: plans the kernel on first sight of each sparse
-/// shape (via `hpsparse-autotune`), replays cached plans thereafter.
+/// The simulated backend: runs every sparse op on one [`GpuSim`] and
+/// charges exec + preprocessing + launch overhead to one ledger. Only the
+/// kernel choice differs between Table V's "w/o HP-SpMM" run
+/// ([`SimBackend::baseline`]), its "w/ HP-SpMM" run ([`SimBackend::hp`])
+/// and the autotuned run ([`SimBackend::new`]).
 ///
-/// Execution cycles land in `sparse_cycles` exactly like the other
-/// accounting backends (exec + preprocessing + launch overhead); the cost
-/// of *planning* — the simulator runs the `Measured` strategy performs —
-/// is metered separately in [`AutoBackend::planning_cycles`], so reports
-/// can show both "steady-state speed" and "price paid to find the plan".
-pub struct AutoBackend {
+/// The cost of *planning* — the simulator runs the `Measured` strategy
+/// performs — is metered apart in [`SimBackend::planning_cycles`], so
+/// reports can show both "steady-state speed" and "price paid to find the
+/// plan".
+pub struct SimBackend {
     sim: GpuSim,
-    planner: Planner,
-    cache: PlanCache,
+    choice: KernelChoice,
     sparse_cycles: u64,
     dense_cycles: u64,
 }
 
-impl AutoBackend {
-    /// Auto backend with the default (`Measured`) planning strategy and an
-    /// empty plan cache.
+/// Alias of [`SimBackend`] for autotuning code: `AutoBackend::new` builds
+/// the planned backend.
+pub type AutoBackend = SimBackend;
+
+impl SimBackend {
+    fn with_choice(device: DeviceSpec, choice: KernelChoice) -> Self {
+        Self {
+            sim: GpuSim::new(device),
+            choice,
+            sparse_cycles: 0,
+            dense_cycles: 0,
+        }
+    }
+
+    /// Backend pinned to the paper's HP kernels on `device`.
+    pub fn hp(device: DeviceSpec) -> Self {
+        Self::with_choice(device, KernelChoice::Hp)
+    }
+
+    /// Backend pinned to the framework-default kernels on `device`.
+    pub fn baseline(device: DeviceSpec) -> Self {
+        Self::with_choice(device, KernelChoice::Baseline)
+    }
+
+    /// Planned backend with the default (`Measured`) planning strategy and
+    /// an empty plan cache.
     pub fn new(device: DeviceSpec) -> Self {
         Self::with_strategy(device, PlanStrategy::default())
     }
 
-    /// Auto backend with an explicit planning strategy.
+    /// Planned backend with an explicit planning strategy.
     pub fn with_strategy(device: DeviceSpec, strategy: PlanStrategy) -> Self {
         Self::with_cache(device, strategy, PlanCache::new())
     }
 
-    /// Auto backend seeded with a pre-populated plan cache (e.g. from
+    /// Planned backend seeded with a pre-populated plan cache (e.g. from
     /// [`PlanCache::load`]); shapes already in the cache replay without a
     /// single planning simulation.
     pub fn with_cache(device: DeviceSpec, strategy: PlanStrategy, cache: PlanCache) -> Self {
-        Self {
-            sim: GpuSim::new(device.clone()),
-            planner: Planner::new(device, strategy),
-            cache,
-            sparse_cycles: 0,
-            dense_cycles: 0,
+        let planner = Box::new(Planner::new(device.clone(), strategy));
+        Self::with_choice(device, KernelChoice::Planned { planner, cache })
+    }
+
+    fn planner(&self) -> Option<&Planner> {
+        match &self.choice {
+            KernelChoice::Planned { planner, .. } => Some(planner.as_ref()),
+            _ => None,
         }
     }
 
-    /// The plan cache (hit/miss counters included).
+    /// The plan cache (hit/miss counters included); always empty for the
+    /// pinned backends.
     pub fn cache(&self) -> &PlanCache {
-        &self.cache
+        static EMPTY: PlanCache = PlanCache::new();
+        match &self.choice {
+            KernelChoice::Planned { cache, .. } => cache,
+            _ => &EMPTY,
+        }
     }
 
     /// Consumes the backend and returns its cache, e.g. to persist it.
     pub fn into_cache(self) -> PlanCache {
-        self.cache
+        match self.choice {
+            KernelChoice::Planned { cache, .. } => cache,
+            _ => PlanCache::new(),
+        }
     }
 
-    /// Simulator kernel runs spent planning so far (0 under `Heuristic`
-    /// or when every shape hits the cache).
+    /// Simulator kernel runs spent planning so far (0 for the pinned
+    /// backends, under `Heuristic`, or when every shape hits the cache).
     pub fn planning_sim_launches(&self) -> u64 {
-        self.planner.sim_launches()
+        self.planner().map_or(0, Planner::sim_launches)
     }
 
     /// Simulated cycles spent planning — kept out of `sparse_cycles`.
     pub fn planning_cycles(&self) -> u64 {
-        self.planner.planning_cycles()
+        self.planner().map_or(0, Planner::planning_cycles)
     }
 
-    fn plan_for(&mut self, op: OpKind, s: &Hybrid, k: usize) -> Plan {
-        let fp = GraphFingerprint::of(s, k, self.sim.device());
-        if let Some(plan) = self.cache.get(op, fp.key()) {
-            return plan.clone();
-        }
-        let plan = match op {
-            OpKind::Spmm => self.planner.plan_spmm(s, k),
-            OpKind::Sddmm => self.planner.plan_sddmm(s, k),
-            // Attention plans carry a head count in their key, so they go
-            // through `plan_mha_for` instead.
-            OpKind::FusedMha => unreachable!("fused-mha plans go through plan_mha_for"),
+    /// The cached plan for `op` on `s` at feature width `k` (`heads` keys
+    /// attention plans only), planning it on a miss. `None` unless the
+    /// backend is planned.
+    fn plan(&mut self, op: OpKind, s: &Hybrid, k: usize, heads: usize) -> Option<Plan> {
+        let KernelChoice::Planned { planner, cache } = &mut self.choice else {
+            return None;
         };
-        self.cache
-            .insert(op, fp.key(), fp.canonical_encoding(), plan.clone());
-        plan
+        let fp = GraphFingerprint::of(s, k, self.sim.device());
+        let key = match op {
+            OpKind::FusedMha => fp.mha_key(heads),
+            _ => fp.key(),
+        };
+        if let Some(plan) = cache.get(op, key) {
+            return Some(plan.clone());
+        }
+        let (plan, encoding) = match op {
+            OpKind::Spmm => (planner.plan_spmm(s, k), fp.canonical_encoding()),
+            OpKind::Sddmm => (planner.plan_sddmm(s, k), fp.canonical_encoding()),
+            OpKind::FusedMha => (planner.plan_mha(s, k, heads), fp.mha_encoding(heads)),
+        };
+        cache.insert(op, key, encoding, plan.clone());
+        Some(plan)
     }
 
-    fn plan_mha_for(&mut self, s: &Hybrid, head_dim: usize, heads: usize) -> Plan {
-        let fp = GraphFingerprint::of(s, head_dim, self.sim.device());
-        let key = fp.mha_key(heads);
-        if let Some(plan) = self.cache.get(OpKind::FusedMha, key) {
-            return plan.clone();
-        }
-        let plan = self.planner.plan_mha(s, head_dim, heads);
-        self.cache
-            .insert(OpKind::FusedMha, key, fp.mha_encoding(heads), plan.clone());
-        plan
+    /// Charges one launch: its execution (plus preprocessing) cycles and
+    /// the fixed launch overhead.
+    fn charge_launch(&mut self, cycles: u64) {
+        self.sparse_cycles += cycles + LAUNCH_OVERHEAD_CYCLES;
     }
 }
 
-impl SparseBackend for AutoBackend {
+impl SparseBackend for SimBackend {
     fn name(&self) -> &'static str {
-        "auto"
+        match self.choice {
+            KernelChoice::Hp => "hp",
+            KernelChoice::Baseline => "baseline",
+            KernelChoice::Planned { .. } => "auto",
+        }
     }
 
     fn spmm(&mut self, s: &Hybrid, a: &Dense) -> Dense {
-        let plan = self.plan_for(OpKind::Spmm, s, a.cols());
-        // A stale persisted cache may name a kernel this build doesn't
-        // know; fall back to the paper's selector rather than failing.
-        let kernel = instantiate_spmm(&plan.candidate())
-            .unwrap_or_else(|| Box::new(HpSpmm::auto(self.sim.device(), s, a.cols())));
+        let k = a.cols();
+        let kernel: Box<dyn SpmmKernel> = match self.choice {
+            KernelChoice::Baseline => Box::new(CusparseCsrAlg2),
+            // Pinned HP runs the paper's selector; so does a plan from a
+            // stale persisted cache naming a kernel this build doesn't know.
+            _ => self
+                .plan(OpKind::Spmm, s, k, 1)
+                .and_then(|plan| instantiate_spmm(&plan.candidate()))
+                .unwrap_or_else(|| Box::new(HpSpmm::auto(self.sim.device(), s, k))),
+        };
         let run = kernel.run_on(&mut self.sim, s, a).expect("valid dims");
-        self.sparse_cycles += run.report.cycles
-            + run.preprocess.as_ref().map_or(0, |p| p.cycles)
-            + LAUNCH_OVERHEAD_CYCLES;
+        self.charge_launch(run.report.cycles + run.preprocess.map_or(0, |p| p.cycles));
         run.output
     }
 
     fn sddmm(&mut self, s: &Hybrid, a1: &Dense, a2t: &Dense) -> Vec<f32> {
-        let plan = self.plan_for(OpKind::Sddmm, s, a1.cols());
-        let kernel = instantiate_sddmm(&plan.candidate())
-            .unwrap_or_else(|| Box::new(HpSddmm::auto(self.sim.device(), s, a1.cols())));
+        let k = a1.cols();
+        let kernel: Box<dyn SddmmKernel> = match self.choice {
+            KernelChoice::Baseline => Box::new(DglSddmm),
+            _ => self
+                .plan(OpKind::Sddmm, s, k, 1)
+                .and_then(|plan| instantiate_sddmm(&plan.candidate()))
+                .unwrap_or_else(|| Box::new(HpSddmm::auto(self.sim.device(), s, k))),
+        };
         let run = kernel
             .run_on(&mut self.sim, s, a1, a2t)
             .expect("valid dims");
-        self.sparse_cycles += run.report.cycles
-            + run.preprocess.as_ref().map_or(0, |p| p.cycles)
-            + LAUNCH_OVERHEAD_CYCLES;
+        self.charge_launch(run.report.cycles + run.preprocess.map_or(0, |p| p.cycles));
         run.output_values
     }
 
@@ -420,19 +325,27 @@ impl SparseBackend for AutoBackend {
         v: &[Dense],
     ) -> (Vec<Dense>, Vec<Vec<f32>>) {
         let head_dim = q.first().map_or(1, Dense::cols);
-        let plan = self.plan_mha_for(s, head_dim, q.len());
-        if plan.kernel_id.starts_with("hp-fused-mha") {
-            let kernel = instantiate_fused_mha(&plan.candidate())
-                .unwrap_or_else(|| HpFusedMha::auto(self.sim.device(), s, head_dim));
-            let run = kernel
-                .run_on(&mut self.sim, s, q, k, v)
-                .expect("valid dims");
-            self.sparse_cycles +=
-                run.total_cycles() + run.reports.len() as u64 * LAUNCH_OVERHEAD_CYCLES;
-            (run.outputs, run.attn)
-        } else {
-            unfused_mha(self, s, q, k, v)
+        let fused = match self.choice {
+            KernelChoice::Baseline => None,
+            _ => match self.plan(OpKind::FusedMha, s, head_dim, q.len()) {
+                // The unfused pipeline runs the SDDMM and SpMM plans instead.
+                Some(plan) if !plan.kernel_id.starts_with("hp-fused-mha") => None,
+                plan => Some(
+                    plan.and_then(|plan| instantiate_fused_mha(&plan.candidate()))
+                        .unwrap_or_else(|| HpFusedMha::auto(self.sim.device(), s, head_dim)),
+                ),
+            },
+        };
+        let Some(kernel) = fused else {
+            return unfused_mha(self, s, q, k, v);
+        };
+        let run = kernel
+            .run_on(&mut self.sim, s, q, k, v)
+            .expect("valid dims");
+        for report in &run.reports {
+            self.charge_launch(report.cycles);
         }
+        (run.outputs, run.attn)
     }
 
     fn account_dense(&mut self, cycles: u64) {
@@ -545,27 +458,27 @@ mod tests {
         .unwrap()
     }
 
+    /// One backend per kernel choice: pinned HP, pinned baseline, planned.
+    fn sim_backends() -> [SimBackend; 3] {
+        [
+            SimBackend::hp(DeviceSpec::v100()),
+            SimBackend::baseline(DeviceSpec::v100()),
+            SimBackend::new(DeviceSpec::v100()),
+        ]
+    }
+
     #[test]
     fn all_backends_compute_the_same_spmm() {
         let s = small_graph();
         let a = Dense::from_fn(6, 16, |i, j| ((i * 16 + j) as f32 * 0.05).sin());
         let expected = reference::spmm(&s, &a).unwrap();
-        let mut hp = HpBackend::new(DeviceSpec::v100());
-        let mut base = BaselineBackend::new(DeviceSpec::v100());
-        let mut auto = AutoBackend::new(DeviceSpec::v100());
-        let mut cpu = CpuBackend::new();
-        for b in [
-            &mut hp as &mut dyn SparseBackend,
-            &mut base,
-            &mut auto,
-            &mut cpu,
-        ] {
+        for mut b in sim_backends() {
             let got = b.spmm(&s, &a);
             assert!(got.approx_eq(&expected, 1e-4, 1e-5), "{}", b.name());
+            assert!(b.sparse_cycles() > 0, "{}", b.name());
         }
-        assert!(hp.sparse_cycles() > 0);
-        assert!(base.sparse_cycles() > 0);
-        assert!(auto.sparse_cycles() > 0);
+        let mut cpu = CpuBackend::new();
+        assert!(cpu.spmm(&s, &a).approx_eq(&expected, 1e-4, 1e-5));
         assert_eq!(cpu.sparse_cycles(), 0);
     }
 
@@ -609,30 +522,89 @@ mod tests {
     }
 
     #[test]
+    fn stale_plans_fall_back_to_the_pinned_hp_kernels() {
+        let s = small_graph();
+        let a = Dense::from_fn(6, 16, |i, j| ((i * 16 + j) as f32 * 0.05).sin());
+        let a2t = Dense::from_fn(6, 16, |i, j| ((i * 2 + j) as f32 * 0.1).sin());
+        let v100 = DeviceSpec::v100();
+        let key = GraphFingerprint::of(&s, 16, &v100).key();
+        let mut cache = PlanCache::new();
+        for op in [OpKind::Spmm, OpKind::Sddmm] {
+            let plan = Plan {
+                kernel_id: "kernel-from-a-newer-build".into(),
+                config: None,
+                predicted_cycles: 1,
+                rationale: "stale".into(),
+            };
+            cache.insert(op, key, "fp".into(), plan);
+        }
+        let mut stale = AutoBackend::with_cache(v100.clone(), PlanStrategy::default(), cache);
+        let mut hp = SimBackend::hp(v100);
+        let (out_stale, out_hp) = (stale.spmm(&s, &a), hp.spmm(&s, &a));
+        let (sd_stale, sd_hp) = (stale.sddmm(&s, &a, &a2t), hp.sddmm(&s, &a, &a2t));
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(out_stale.data()), bits(out_hp.data()));
+        assert_eq!(bits(&sd_stale), bits(&sd_hp));
+        assert_eq!(stale.sparse_cycles(), hp.sparse_cycles());
+        assert_eq!(stale.planning_sim_launches(), 0, "stale entries still hit");
+    }
+
+    #[test]
+    fn corrupt_cache_entries_replan_instead_of_panicking() {
+        let s = small_graph();
+        let a = Dense::from_fn(6, 16, |i, j| (i + j) as f32);
+        let key = GraphFingerprint::of(&s, 16, &DeviceSpec::v100()).key();
+        let text = format!(
+            r#"{{"version": 1, "entries": [{{"op": "spmm", "key": "{key:016x}",
+                "fingerprint": "fp", "kernel_id": "hp:npw=8",
+                "config": {{"nnz_per_warp": 8, "vector_width": 0, "warps_per_block": 8,
+                            "alpha": 4.0}},
+                "predicted_cycles": 1, "rationale": "corrupt"}}]}}"#
+        );
+        let cache = PlanCache::from_json_str(&text).unwrap();
+        let mut auto = AutoBackend::with_cache(DeviceSpec::v100(), PlanStrategy::default(), cache);
+        let got = auto.spmm(&s, &a);
+        assert!(got.approx_eq(&reference::spmm(&s, &a).unwrap(), 1e-4, 1e-5));
+        assert_eq!(auto.cache().misses(), 1, "the corrupt entry is a miss");
+        assert!(
+            auto.planning_sim_launches() > 0,
+            "and the shape is replanned"
+        );
+    }
+
+    #[test]
     fn backends_accumulate_and_reset() {
         let s = small_graph();
         let a = Dense::from_fn(6, 8, |i, j| (i + j) as f32);
-        let mut hp = HpBackend::new(DeviceSpec::v100());
-        hp.spmm(&s, &a);
-        let after_one = hp.sparse_cycles();
-        hp.spmm(&s, &a);
-        assert!(hp.sparse_cycles() > after_one);
-        hp.account_dense(1000);
-        assert_eq!(hp.dense_cycles(), 1000);
-        assert!(hp.total_ms() > 0.0);
-        hp.reset_counters();
-        assert_eq!(hp.sparse_cycles(), 0);
-        assert_eq!(hp.dense_cycles(), 0);
+        for mut b in sim_backends() {
+            b.spmm(&s, &a);
+            let after_one = b.sparse_cycles();
+            b.spmm(&s, &a);
+            assert!(b.sparse_cycles() > after_one, "{}", b.name());
+            b.account_dense(1000);
+            assert_eq!(b.dense_cycles(), 1000, "{}", b.name());
+            assert!(b.total_ms() > 0.0, "{}", b.name());
+            b.reset_counters();
+            assert_eq!(b.sparse_cycles(), 0, "{}", b.name());
+            assert_eq!(b.dense_cycles(), 0, "{}", b.name());
+        }
     }
 
     #[test]
     fn sim_mut_exposes_the_simulator_where_one_exists() {
-        let mut auto = AutoBackend::new(DeviceSpec::v100());
-        auto.sim_mut().expect("auto has a sim").set_device_index(2);
-        assert_eq!(auto.sim_mut().unwrap().device_index(), Some(2));
-        assert!(HpBackend::new(DeviceSpec::v100()).sim_mut().is_some());
-        assert!(BaselineBackend::new(DeviceSpec::v100()).sim_mut().is_some());
+        for mut b in sim_backends() {
+            b.sim_mut()
+                .expect("simulated backends have a sim")
+                .set_device_index(2);
+            assert_eq!(b.sim_mut().unwrap().device_index(), Some(2), "{}", b.name());
+        }
         assert!(CpuBackend::new().sim_mut().is_none());
+    }
+
+    #[test]
+    fn names_follow_the_kernel_choice() {
+        let names = sim_backends().map(|b| b.name());
+        assert_eq!(names, ["hp", "baseline", "auto"]);
     }
 
     #[test]
@@ -655,9 +627,7 @@ mod tests {
         let a1 = Dense::from_fn(6, 16, |i, j| ((i + j) as f32 * 0.1).cos());
         let a2t = Dense::from_fn(6, 16, |i, j| ((i * 2 + j) as f32 * 0.1).sin());
         let expected = reference::sddmm_transposed(&s, &a1, &a2t).unwrap();
-        let mut hp = HpBackend::new(DeviceSpec::v100());
-        let mut base = BaselineBackend::new(DeviceSpec::v100());
-        for b in [&mut hp as &mut dyn SparseBackend, &mut base] {
+        for mut b in sim_backends() {
             let got = b.sddmm(&s, &a1, &a2t);
             for (x, y) in got.iter().zip(&expected) {
                 assert!((x - y).abs() < 1e-4, "{}", b.name());
@@ -683,10 +653,7 @@ mod tests {
         let v = heads_for(6, 16, 2, 2);
         let mut cpu = CpuBackend::new();
         let (expected_out, expected_attn) = cpu.mha(&s, &q, &k, &v);
-        let mut hp = HpBackend::new(DeviceSpec::v100());
-        let mut base = BaselineBackend::new(DeviceSpec::v100());
-        let mut auto = AutoBackend::new(DeviceSpec::v100());
-        for b in [&mut hp as &mut dyn SparseBackend, &mut base, &mut auto] {
+        for mut b in sim_backends() {
             let (out, attn) = b.mha(&s, &q, &k, &v);
             assert_eq!(out.len(), 2, "{}", b.name());
             for (h, o) in out.iter().enumerate() {
@@ -701,9 +668,8 @@ mod tests {
                     assert!((x - y).abs() < 1e-4, "{} head {h}", b.name());
                 }
             }
+            assert!(b.sparse_cycles() > 0, "{}", b.name());
         }
-        assert!(hp.sparse_cycles() > 0);
-        assert!(base.sparse_cycles() > 0);
     }
 
     #[test]
@@ -712,9 +678,9 @@ mod tests {
         let q = heads_for(6, 16, 2, 0);
         let k = heads_for(6, 16, 2, 1);
         let v = heads_for(6, 16, 2, 2);
-        let mut fused = HpBackend::new(DeviceSpec::v100());
+        let mut fused = SimBackend::hp(DeviceSpec::v100());
         fused.mha(&s, &q, &k, &v);
-        let mut unfused = HpBackend::new(DeviceSpec::v100());
+        let mut unfused = SimBackend::hp(DeviceSpec::v100());
         unfused_mha(&mut unfused, &s, &q, &k, &v);
         assert!(
             fused.sparse_cycles() < unfused.sparse_cycles(),

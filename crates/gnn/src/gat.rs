@@ -449,12 +449,12 @@ mod backward_tests {
 
     #[test]
     fn backward_uses_sddmm_on_the_accounting_backend() {
-        use crate::backend::{HpBackend, SparseBackend};
+        use crate::backend::{SimBackend, SparseBackend};
         use hpsparse_sim::DeviceSpec;
         let s = graph_hybrid();
         let x = Dense::from_fn(5, 4, |i, j| (i + j) as f32 * 0.1);
         let layer = GatLayer::new(4, 3, 2);
-        let mut backend = HpBackend::new(DeviceSpec::v100());
+        let mut backend = SimBackend::hp(DeviceSpec::v100());
         let (out, _, cache) = layer.forward_cached(&mut backend, &s, &x);
         let before = backend.sparse_cycles();
         let d_out = Dense::from_fn(out.rows(), out.cols(), |_, _| 0.5);

@@ -212,7 +212,7 @@ impl GatAdam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CpuBackend, HpBackend};
+    use crate::backend::{CpuBackend, SimBackend};
     use hpsparse_sim::DeviceSpec;
     use hpsparse_sparse::Graph;
 
@@ -280,7 +280,7 @@ mod tests {
             classes: 2,
             seed: 1,
         });
-        let mut backend = HpBackend::new(DeviceSpec::v100());
+        let mut backend = SimBackend::hp(DeviceSpec::v100());
         let (logits, cache) = model.forward(&mut backend, &s, &x);
         let fwd_cycles = backend.sparse_cycles();
         assert!(fwd_cycles > 0);

@@ -2,9 +2,10 @@
 //!
 //! The paper embeds its kernels into DGL and PyG and measures end-to-end
 //! training time. This crate is the equivalent substrate: dense linear
-//! algebra on rayon ([`linalg`]), a pluggable sparse backend that runs
-//! either the HP kernels or the cuSPARSE-style baselines on the simulator
-//! while accounting GPU time ([`backend`]), a GCN with manual reverse-mode
+//! algebra on rayon ([`linalg`]), one simulated sparse backend whose
+//! kernel choice — the HP kernels, the cuSPARSE-style baselines, or an
+//! autotuned plan — is all that differs between Table V's runs, accounting
+//! GPU time in one ledger ([`backend`]), a GCN with manual reverse-mode
 //! backpropagation ([`gcn`]), a GAT-style attention layer exercising SDDMM
 //! ([`gat`]), and full-graph / GraphSAINT training loops ([`train`]).
 //!
@@ -24,8 +25,7 @@ pub mod sage;
 pub mod train;
 
 pub use backend::{
-    dense_gemm_cycles, unfused_mha, AutoBackend, BaselineBackend, CpuBackend, HpBackend,
-    SparseBackend,
+    dense_gemm_cycles, unfused_mha, AutoBackend, CpuBackend, SimBackend, SparseBackend,
 };
 pub use gat_model::{GatAdam, GatConfig, GatModel};
 pub use gcn::{Adam, Gcn, GcnConfig};

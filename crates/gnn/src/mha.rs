@@ -340,7 +340,7 @@ impl TransformerAdam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BaselineBackend, CpuBackend, HpBackend};
+    use crate::backend::{CpuBackend, SimBackend};
     use hpsparse_sim::DeviceSpec;
     use hpsparse_sparse::Graph;
 
@@ -384,8 +384,8 @@ mod tests {
             }
         }
 
-        let mut hp = HpBackend::new(DeviceSpec::v100());
-        let mut base = BaselineBackend::new(DeviceSpec::v100());
+        let mut hp = SimBackend::hp(DeviceSpec::v100());
+        let mut base = SimBackend::baseline(DeviceSpec::v100());
         let mut cpu2 = CpuBackend::new();
         for b in [&mut hp as &mut dyn SparseBackend, &mut base, &mut cpu2] {
             let (concat, _) = mha.forward_cached(b, &s, &x);
@@ -406,7 +406,7 @@ mod tests {
         let mha = SparseMha::new(8, 4, 2, 7);
         let d = mha.head_dim();
 
-        let mut hp = HpBackend::new(DeviceSpec::v100());
+        let mut hp = SimBackend::hp(DeviceSpec::v100());
         let (concat, cache) = mha.forward_cached(&mut hp, &s, &x);
         let d_concat = Dense::from_fn(concat.rows(), concat.cols(), |i, j| {
             ((i * 3 + j) as f32 * 0.07).cos()
@@ -531,7 +531,7 @@ mod tests {
             seed: 11,
         });
         let mut opt = TransformerAdam::new(&model, 0.03);
-        let mut backend = HpBackend::new(DeviceSpec::v100());
+        let mut backend = SimBackend::hp(DeviceSpec::v100());
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..15 {

@@ -182,7 +182,7 @@ fn stats_from(backend: &dyn SparseBackend, losses: Vec<f32>, final_accuracy: f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BaselineBackend, CpuBackend, HpBackend};
+    use crate::backend::{CpuBackend, SimBackend};
     use hpsparse_datasets::features::{planted_labels, random_features};
     use hpsparse_datasets::generators::{GeneratorConfig, Topology};
     use hpsparse_sim::DeviceSpec;
@@ -288,9 +288,9 @@ mod tests {
             lr: 0.01,
             ..Default::default()
         };
-        let mut hp = HpBackend::new(DeviceSpec::v100());
+        let mut hp = SimBackend::hp(DeviceSpec::v100());
         let (_, hp_stats) = train_full_graph(&mut hp, &g, &x, &y, model_cfg, cfg);
-        let mut base = BaselineBackend::new(DeviceSpec::v100());
+        let mut base = SimBackend::baseline(DeviceSpec::v100());
         let (_, base_stats) = train_full_graph(&mut base, &g, &x, &y, model_cfg, cfg);
         assert!(hp_stats.sparse_ms > 0.0);
         assert!(

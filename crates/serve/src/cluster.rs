@@ -3,8 +3,8 @@
 //!
 //! A [`Cluster`] places the shards of a [`ShardPlan`] onto `num_devices`
 //! simulated GPUs (`device = shard % num_devices`) and executes batches of
-//! target rows through the shard-owning device's [`AutoBackend`]. Each
-//! batch builds a **compact matrix**: target rows in request order,
+//! target rows through the shard-owning device's planned [`SimBackend`].
+//! Each batch builds a **compact matrix**: target rows in request order,
 //! columns compacted to first-appearance ids over the *global* node ids
 //! the shard rows reference. Because shard rows preserve the global CSR's
 //! within-row order, the compact matrix for a given `(shard, rows)` pair
@@ -18,7 +18,7 @@
 
 use crate::shard::ShardPlan;
 use hpsparse_autotune::PlanStrategy;
-use hpsparse_gnn::{AutoBackend, SparseBackend};
+use hpsparse_gnn::{SimBackend, SparseBackend};
 use hpsparse_sim::{DeviceSpec, GpuSim, LinkSpec, TransferDescriptor};
 use hpsparse_sparse::{Dense, Graph, Hybrid};
 use std::collections::HashMap;
@@ -43,7 +43,7 @@ pub struct BatchResult {
 /// N simulated devices serving one sharded graph.
 pub struct Cluster {
     plan: ShardPlan,
-    backends: Vec<AutoBackend>,
+    backends: Vec<SimBackend>,
     /// Per shard: owned feature rows, in owned (local-id) order.
     shard_features: Vec<Dense>,
     link: LinkSpec,
@@ -54,7 +54,7 @@ pub struct Cluster {
 impl Cluster {
     /// Builds a cluster: shards `g` into `num_shards` parts, splits
     /// `features` by ownership, and boots one Heuristic-planning
-    /// [`AutoBackend`] per device. The Heuristic strategy keeps planning a
+    /// [`SimBackend`] per device. The Heuristic strategy keeps planning a
     /// pure function of each batch's shape, so identical batches pick
     /// identical kernels on every device — a serving-latency *and* a
     /// reproducibility property.
@@ -97,9 +97,9 @@ impl Cluster {
                 })
             })
             .collect();
-        let backends: Vec<AutoBackend> = (0..num_devices)
+        let backends: Vec<SimBackend> = (0..num_devices)
             .map(|d| {
-                let mut b = AutoBackend::with_strategy(device.clone(), PlanStrategy::Heuristic);
+                let mut b = SimBackend::with_strategy(device.clone(), PlanStrategy::Heuristic);
                 if let Some(sim) = b.sim_mut() {
                     sim.set_device_index(d as u32);
                 }
@@ -144,7 +144,9 @@ impl Cluster {
     /// The backing simulator of device `d`, for attaching observers
     /// (sanitizer sinks, trace sessions).
     pub fn device_sim_mut(&mut self, d: usize) -> &mut GpuSim {
-        self.backends[d].sim_mut().expect("auto backend has a sim")
+        self.backends[d]
+            .sim_mut()
+            .expect("simulated backend has a sim")
     }
 
     /// Kernel cycles device `d` has accumulated so far.

@@ -8,7 +8,7 @@
 //! ```
 
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
-use hpsparse::gnn::backend::{HpBackend, SparseBackend};
+use hpsparse::gnn::backend::{SimBackend, SparseBackend};
 use hpsparse::gnn::gat::GatLayer;
 use hpsparse::sim::DeviceSpec;
 use hpsparse::sparse::Dense;
@@ -28,7 +28,7 @@ fn main() {
     let x = Dense::from_fn(s.rows(), in_dim, |i, j| ((i * 31 + j) as f32 * 1e-3).sin());
 
     let layer = GatLayer::new(in_dim, head_dim, 99);
-    let mut backend = HpBackend::new(DeviceSpec::v100());
+    let mut backend = SimBackend::hp(DeviceSpec::v100());
     let (out, weights) = layer.forward(&mut backend, &s, &x);
 
     println!(

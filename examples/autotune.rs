@@ -1,8 +1,8 @@
 //! The kernel planner in action: fingerprint two structurally different
 //! graphs (uniform vs power-law), plan both, and compare the chosen
-//! kernels side by side with the planner's own rationale. A second
-//! `AutoBackend` call on the same shape then demonstrates the warm plan
-//! cache: zero additional planning simulations.
+//! kernels side by side with the planner's own rationale. A second call
+//! on the same shape through a planned `SimBackend` then demonstrates the
+//! warm plan cache: zero additional planning simulations.
 //!
 //! ```sh
 //! cargo run --release --example autotune
@@ -10,7 +10,7 @@
 
 use hpsparse::autotune::{GraphFingerprint, OpKind, PlanCache, PlanStrategy, Planner};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
-use hpsparse::gnn::{AutoBackend, SparseBackend};
+use hpsparse::gnn::{SimBackend, SparseBackend};
 use hpsparse::sim::DeviceSpec;
 use hpsparse::sparse::Dense;
 
@@ -80,7 +80,7 @@ fn main() {
     );
 
     println!("\n== Warm cache: the second call replays the plan ==\n");
-    let mut backend = AutoBackend::new(v100.clone());
+    let mut backend = SimBackend::new(v100.clone());
     let a = Dense::from_fn(power_law.cols(), k, |i, j| ((i + j) as f32 * 1e-3).sin());
     backend.spmm(&power_law, &a);
     println!(

@@ -11,9 +11,7 @@
 
 use hpsparse::datasets::features::{planted_labels, random_features};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
-use hpsparse::gnn::{
-    train_full_graph, BaselineBackend, GcnConfig, HpBackend, SparseBackend, TrainConfig,
-};
+use hpsparse::gnn::{train_full_graph, GcnConfig, SimBackend, SparseBackend, TrainConfig};
 use hpsparse::sim::DeviceSpec;
 
 fn main() {
@@ -53,30 +51,25 @@ fn main() {
         model_cfg.hidden
     );
 
-    let mut baseline = BaselineBackend::new(DeviceSpec::v100());
-    let (_, base_stats) = train_full_graph(
-        &mut baseline,
-        &graph,
-        &features,
-        &labels,
-        model_cfg,
-        train_cfg,
-    );
-    report(
-        "cuSPARSE-style backend",
-        &baseline,
-        &base_stats.losses,
-        base_stats.final_accuracy,
-    );
-
-    let mut hp = HpBackend::new(DeviceSpec::v100());
-    let (_, hp_stats) = train_full_graph(&mut hp, &graph, &features, &labels, model_cfg, train_cfg);
-    report(
-        "HP-SpMM backend",
-        &hp,
-        &hp_stats.losses,
-        hp_stats.final_accuracy,
-    );
+    let [base_stats, hp_stats] = [
+        (
+            "cuSPARSE-style backend",
+            SimBackend::baseline(DeviceSpec::v100()),
+        ),
+        ("HP-SpMM backend", SimBackend::hp(DeviceSpec::v100())),
+    ]
+    .map(|(name, mut backend)| {
+        let (_, stats) = train_full_graph(
+            &mut backend,
+            &graph,
+            &features,
+            &labels,
+            model_cfg,
+            train_cfg,
+        );
+        report(name, &backend, &stats.losses, stats.final_accuracy);
+        stats
+    });
 
     println!(
         "\nend-to-end speedup from swapping the sparse kernels: {:.2}x \

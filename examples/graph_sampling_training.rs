@@ -12,7 +12,7 @@
 
 use hpsparse::datasets::features::{planted_labels, random_features};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
-use hpsparse::gnn::{train_graph_sampling, BaselineBackend, GcnConfig, HpBackend, TrainConfig};
+use hpsparse::gnn::{train_graph_sampling, GcnConfig, SimBackend, TrainConfig};
 use hpsparse::sim::DeviceSpec;
 
 fn main() {
@@ -54,34 +54,28 @@ fn main() {
         train_cfg.sample_nodes
     );
 
-    let mut baseline = BaselineBackend::new(DeviceSpec::v100());
-    let (_, base) = train_graph_sampling(
-        &mut baseline,
-        &graph,
-        &features,
-        &labels,
-        model_cfg,
-        train_cfg,
-    );
-    let mut hp = HpBackend::new(DeviceSpec::v100());
-    let (_, ours) = train_graph_sampling(&mut hp, &graph, &features, &labels, model_cfg, train_cfg);
-
-    println!(
-        "baseline kernels: loss {:.3} -> {:.3}, GPU time {:.2} ms \
-         ({:.2} ms sparse)",
-        base.losses.first().unwrap(),
-        base.losses.last().unwrap(),
-        base.total_ms,
-        base.sparse_ms
-    );
-    println!(
-        "HP kernels      : loss {:.3} -> {:.3}, GPU time {:.2} ms \
-         ({:.2} ms sparse)",
-        ours.losses.first().unwrap(),
-        ours.losses.last().unwrap(),
-        ours.total_ms,
-        ours.sparse_ms
-    );
+    let [base, ours] = [
+        ("baseline kernels", SimBackend::baseline(DeviceSpec::v100())),
+        ("HP kernels      ", SimBackend::hp(DeviceSpec::v100())),
+    ]
+    .map(|(name, mut backend)| {
+        let (_, stats) = train_graph_sampling(
+            &mut backend,
+            &graph,
+            &features,
+            &labels,
+            model_cfg,
+            train_cfg,
+        );
+        println!(
+            "{name}: loss {:.3} -> {:.3}, GPU time {:.2} ms ({:.2} ms sparse)",
+            stats.losses.first().unwrap(),
+            stats.losses.last().unwrap(),
+            stats.total_ms,
+            stats.sparse_ms
+        );
+        stats
+    });
     println!(
         "\nspeedup {:.2}x — with zero per-iteration preprocessing, because \
          sampled subgraphs arrive already in hybrid CSR/COO form",

@@ -12,7 +12,7 @@
 use hpsparse::datasets::features::{planted_labels, random_features};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::gnn::linalg;
-use hpsparse::gnn::{mean_operator, HpBackend, Sage, SageAdam, SageConfig, SparseBackend};
+use hpsparse::gnn::{mean_operator, Sage, SageAdam, SageConfig, SimBackend, SparseBackend};
 use hpsparse::sim::DeviceSpec;
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
         seed: 3,
     });
     let mut opt = SageAdam::new(&model, 0.02);
-    let mut backend = HpBackend::new(DeviceSpec::v100());
+    let mut backend = SimBackend::hp(DeviceSpec::v100());
 
     println!(
         "GraphSAGE (mean) on {} nodes / {} edges, 2 layers, hidden 48\n",

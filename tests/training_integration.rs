@@ -6,8 +6,8 @@ use hpsparse::datasets::features::{planted_labels, random_features};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::gnn::gat::GatLayer;
 use hpsparse::gnn::{
-    train_full_graph, train_graph_sampling, BaselineBackend, CpuBackend, GcnConfig, HpBackend,
-    SparseBackend, TrainConfig,
+    train_full_graph, train_graph_sampling, CpuBackend, GcnConfig, SimBackend, SparseBackend,
+    TrainConfig,
 };
 use hpsparse::reorder::gcr_reorder;
 use hpsparse::sim::DeviceSpec;
@@ -48,22 +48,23 @@ fn backends_produce_identical_training_trajectories() {
         lr: 0.02,
         ..Default::default()
     };
-    let mut cpu = CpuBackend::new();
-    let (_, s_cpu) = train_full_graph(&mut cpu, &g, &x, &y, model(), cfg);
-    let mut hp = HpBackend::new(DeviceSpec::v100());
-    let (_, s_hp) = train_full_graph(&mut hp, &g, &x, &y, model(), cfg);
-    let mut base = BaselineBackend::new(DeviceSpec::v100());
-    let (_, s_base) = train_full_graph(&mut base, &g, &x, &y, model(), cfg);
-    for ((a, b), c) in s_cpu.losses.iter().zip(&s_hp.losses).zip(&s_base.losses) {
-        assert!((a - b).abs() < 1e-3, "cpu {a} vs hp {b}");
-        assert!((a - c).abs() < 1e-3, "cpu {a} vs baseline {c}");
+    let (_, s_cpu) = train_full_graph(&mut CpuBackend::new(), &g, &x, &y, model(), cfg);
+    for mut backend in [
+        SimBackend::hp(DeviceSpec::v100()),
+        SimBackend::baseline(DeviceSpec::v100()),
+        SimBackend::new(DeviceSpec::v100()),
+    ] {
+        let (_, stats) = train_full_graph(&mut backend, &g, &x, &y, model(), cfg);
+        for (a, b) in s_cpu.losses.iter().zip(&stats.losses) {
+            assert!((a - b).abs() < 1e-3, "cpu {a} vs {} {b}", backend.name());
+        }
     }
 }
 
 #[test]
 fn simulated_costs_account_every_epoch() {
     let (g, x, y) = problem(2);
-    let mut hp = HpBackend::new(DeviceSpec::v100());
+    let mut hp = SimBackend::hp(DeviceSpec::v100());
     let cfg_short = TrainConfig {
         epochs: 2,
         lr: 0.02,
@@ -84,7 +85,7 @@ fn simulated_costs_account_every_epoch() {
 #[test]
 fn sampling_mode_trains_on_fresh_subgraphs() {
     let (g, x, y) = problem(3);
-    let mut hp = HpBackend::new(DeviceSpec::v100());
+    let mut hp = SimBackend::hp(DeviceSpec::v100());
     let cfg = TrainConfig {
         epochs: 6,
         lr: 0.03,
@@ -119,9 +120,9 @@ fn gcr_composes_with_training() {
         lr: 0.02,
         ..Default::default()
     };
-    let mut b1 = HpBackend::new(DeviceSpec::v100());
+    let mut b1 = SimBackend::hp(DeviceSpec::v100());
     let (_, orig) = train_full_graph(&mut b1, &g, &x, &y, model(), cfg);
-    let mut b2 = HpBackend::new(DeviceSpec::v100());
+    let mut b2 = SimBackend::hp(DeviceSpec::v100());
     let (_, reord) = train_full_graph(&mut b2, &r.graph, &xp, &yp, model(), cfg);
     for (a, b) in orig.losses.iter().zip(&reord.losses) {
         assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -135,7 +136,7 @@ fn gat_layer_runs_on_all_backends() {
     let layer = GatLayer::new(16, 8, 7);
     let mut cpu = CpuBackend::new();
     let (out_cpu, w_cpu) = layer.forward(&mut cpu, &s, &x);
-    let mut hp = HpBackend::new(DeviceSpec::v100());
+    let mut hp = SimBackend::hp(DeviceSpec::v100());
     let (out_hp, w_hp) = layer.forward(&mut hp, &s, &x);
     assert!(out_cpu.approx_eq(&out_hp, 1e-3, 1e-4));
     for (a, b) in w_cpu.iter().zip(&w_hp) {
