@@ -23,8 +23,9 @@
 //!   fused    FusedMM vs unfused pipeline (extension)
 //!   table5   end-to-end GNN training
 //!   autotune kernel-planner evaluation: oracle match + plan cache (extension)
-//!   sanitize memcheck/racecheck/initcheck sweep over every registry kernel
-//!   verify   static bounds/race/init verification; non-proved kernels escalate
+//!   verify   static bounds/race/init proofs (non-proved kernels escalate),
+//!            memcheck/racecheck/initcheck sweep over every registry kernel ×
+//!            graph, and seeded-mutant detection
 //!   fastcheck differential test: fast vs reference cost engine
 //!   formats  §II storage-format comparison
 //!   profile  Nsight-style kernel profiles on Flickr
@@ -57,20 +58,20 @@
 //!
 //! `perfdiff OLD.json NEW.json` compares two snapshots (`BENCH_*.json`
 //! or `--metrics` exports) metric by metric: regressions beyond
-//! `--tolerance` (fractional, default 0.25) and vanished metrics fail
-//! with exit 1, unreadable inputs with exit 2; `--report FILE` writes the
-//! machine-readable diff. Every `BENCH_*.json` carries a `host` section
-//! (core count, rayon threads) for provenance; `perfdiff` excludes it
-//! from comparison.
+//! `--tolerance` (fractional, finite and ≥ 0, default 0.25) and vanished
+//! metrics fail with exit 1, unreadable inputs with exit 2; `--report
+//! FILE` writes the machine-readable diff. Every `BENCH_*.json` carries a
+//! `host` section (core count, rayon threads) for provenance; `perfdiff`
+//! excludes it from comparison.
 //!
 //! `selftime` folds its run into `BENCH_repro.json` under a `runs` object
 //! keyed by thread count, so records at `RAYON_NUM_THREADS=1` and `=4`
 //! coexist. `--selftime-baseline FILE` makes `selftime` compare its fresh
 //! total against the committed section matching its own thread count and
 //! exit non-zero if the run regressed beyond `--selftime-tolerance`
-//! (fractional, default 0.25 to absorb machine noise; the tracing-overhead
-//! budget of DESIGN.md is validated with a strict 0.01 at baseline-refresh
-//! time).
+//! (fractional, finite and ≥ 0, default 0.25 to absorb machine noise; the
+//! tracing-overhead budget of DESIGN.md is validated with a strict 0.01 at
+//! baseline-refresh time).
 
 use hpsparse_bench::experiments::{
     bench_artifact, dispatch, selftime, supports_trace, Effort, ALL_EXPERIMENTS, CATALOG,
@@ -119,17 +120,9 @@ fn main() {
                 )
             }
             "--selftime-tolerance" => {
-                selftime_tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--selftime-tolerance needs a number"))
+                selftime_tolerance = parse_tolerance("--selftime-tolerance", it.next())
             }
-            "--tolerance" => {
-                diff_tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--tolerance needs a number"))
-            }
+            "--tolerance" => diff_tolerance = parse_tolerance("--tolerance", it.next()),
             "--report" => {
                 diff_report = Some(it.next().unwrap_or_else(|| usage("--report needs a file")))
             }
@@ -221,6 +214,16 @@ fn main() {
             eprintln!("[wrote {path}]");
         }
     }
+}
+
+/// Parses a fractional tolerance flag's value. NaN, infinities and
+/// negative values are usage errors: a non-finite tolerance would make
+/// every `ratio > 1 + tolerance` comparison false and switch the gate off.
+fn parse_tolerance(flag: &str, value: Option<String>) -> f64 {
+    value
+        .and_then(|v| v.parse::<f64>().ok())
+        .filter(|t| t.is_finite() && *t >= 0.0)
+        .unwrap_or_else(|| usage(&format!("{flag} needs a finite number ≥ 0")))
 }
 
 /// Host provenance stamped into every `BENCH_*.json`: enough to explain
@@ -444,7 +447,7 @@ fn usage(err: &str) -> ! {
          \x20            <experiment>...\n\
          \x20      repro perfdiff OLD.json NEW.json [--tolerance F] [--report FILE]\n\
          experiments: fig9 fig9a30 fig10 table3 table4 tcgnn reorder fig11 \
-         fig12 fig13 alpha futurework bell fused table5 autotune sanitize verify fastcheck \
+         fig12 fig13 alpha futurework bell fused table5 autotune verify fastcheck \
          formats profile datasets serve fused-mha all selftime\n\
          run `repro list` for one-line summaries"
     );

@@ -19,7 +19,7 @@ use hpsparse_autotune::{
     instantiate_sddmm, instantiate_spmm, sddmm_candidates, spmm_candidates, Candidate,
     GraphFingerprint, PlanStrategy, Planner,
 };
-use hpsparse_datasets::{full_graph_dataset, store};
+use hpsparse_datasets::store;
 use hpsparse_gnn::{SimBackend, SparseBackend};
 use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
@@ -137,11 +137,7 @@ fn oracle_of(cycles: &[(String, u64)]) -> (String, u64) {
 /// Runs the full-graph registry part: oracle search, planner evaluation,
 /// and the three-way backend race.
 pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult> {
-    let cap = edge_cap(effort);
-    let graphs: Vec<(String, Hybrid)> = full_graph_dataset()
-        .into_iter()
-        .map(|spec| (spec.name.to_string(), store::graph(&spec, cap).to_hybrid()))
-        .collect();
+    let graphs = crate::runner::registry_graphs(edge_cap(effort));
 
     // Exhaustive candidate measurement per graph (the oracle), reused to
     // pick the best fixed baseline in hindsight.
@@ -186,7 +182,7 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult
                 + overhead;
 
             GraphResult {
-                graph: name.clone(),
+                graph: name.to_string(),
                 nnz: s.nnz(),
                 spmm_pick: spmm_plan.kernel_id.clone(),
                 spmm_oracle,

@@ -1,10 +1,10 @@
 //! `fastcheck` — two-way differential test of the cost engines.
 //!
-//! Every SpMM/SDDMM kernel (HP kernels plus every registry baseline) runs
-//! on every full-graph registry dataset twice: once on the **reference**
-//! engine (element-wise descriptor expansion, no memoization) and once on
-//! the **batched** engine (descriptor batching + warp-signature
-//! memoization). Both [`LaunchReport`]s must be *equal* — not
+//! Every sweep kernel (the three HP kernels plus every registry baseline,
+//! see [`sweep_ids`]) runs on every full-graph registry dataset twice:
+//! once on the **reference** engine (element-wise descriptor expansion,
+//! no memoization) and once on the **batched** engine (descriptor
+//! batching + warp-signature memoization). Both runs' [`LaunchReport`]s must be *equal* — not
 //! approximately, field for field — for every cell. This is the witness
 //! that the fast path is a pure optimisation: same model, fewer host
 //! instructions.
@@ -18,12 +18,9 @@
 //! ragged tails in the stepped gathers).
 
 use crate::experiments::{Effort, ExperimentOutput};
+use crate::runner::{registry_graphs, run_sweep_kernel, sweep_ids};
 use crate::table;
-use hpsparse_core::baselines::registry;
-use hpsparse_core::hp::{HpSddmm, HpSpmm};
-use hpsparse_datasets::{full_graph_dataset, store};
 use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim, LaunchReport};
-use hpsparse_sparse::Hybrid;
 use serde_json::json;
 
 /// Feature dimensions under test: the benchmark default plus an odd value
@@ -42,7 +39,7 @@ fn edge_cap(effort: Effort) -> usize {
 
 /// Outcome of the differential sweep for one kernel.
 pub struct KernelDiff {
-    /// Kernel registry id (or `hp-spmm` / `hp-sddmm`).
+    /// Sweep id (see [`sweep_ids`]).
     pub id: String,
     /// Cells checked (graphs × feature dimensions).
     pub cells: usize,
@@ -61,136 +58,71 @@ impl KernelDiff {
     }
 }
 
-/// The fast engine under test, checked against the reference.
-const FAST_ENGINES: [(&str, CostEngine); 1] = [("batched", CostEngine::Batched)];
-
 fn fold(
     diff: &mut KernelDiff,
     graph: &str,
     k: usize,
-    fast: &[(&str, LaunchReport)],
-    refr: &LaunchReport,
+    fast: &[LaunchReport],
+    refr: &[LaunchReport],
 ) {
     diff.cells += 1;
-    diff.cycles += refr.cycles;
-    let mut ok = true;
-    for (engine, report) in fast {
-        if report == refr {
-            continue;
-        }
-        ok = false;
-        if diff.mismatches.len() < 4 {
-            diff.mismatches.push(format!(
-                "{graph} K={k}: {engine} {{cycles {}, tx {}, l2_hits {}, dram {}}} vs \
-                 reference {{cycles {}, tx {}, l2_hits {}, dram {}}}",
-                report.cycles,
-                report.totals.transactions,
-                report.totals.l2_hit_sectors,
-                report.totals.dram_sectors,
-                refr.cycles,
-                refr.totals.transactions,
-                refr.totals.l2_hit_sectors,
-                refr.totals.dram_sectors,
-            ));
-        }
+    diff.cycles += refr.iter().map(|r| r.cycles).sum::<u64>();
+    if fast == refr {
+        diff.matching += 1;
+    } else if diff.mismatches.len() < 4 {
+        let summary = |reports: &[LaunchReport]| {
+            reports
+                .iter()
+                .map(|r| {
+                    format!(
+                        "{{cycles {}, tx {}, l2_hits {}, dram {}}}",
+                        r.cycles,
+                        r.totals.transactions,
+                        r.totals.l2_hit_sectors,
+                        r.totals.dram_sectors
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(" + ")
+        };
+        diff.mismatches.push(format!(
+            "{graph} K={k}: batched {} vs reference {}",
+            summary(fast),
+            summary(refr)
+        ));
     }
-    diff.matching += usize::from(ok);
 }
 
 /// Runs the differential sweep: every kernel × every registry graph × every
 /// K in [`CHECK_KS`], one fresh simulator per engine per cell so both
 /// engines see an identically cold L2.
 pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
-    let cap = edge_cap(effort);
-    let graphs: Vec<(String, Hybrid)> = full_graph_dataset()
+    let graphs = registry_graphs(edge_cap(effort));
+    sweep_ids()
         .into_iter()
-        .map(|spec| (spec.name.to_string(), store::graph(&spec, cap).to_hybrid()))
-        .collect();
-
-    let spmm_ids: Vec<String> = std::iter::once("hp-spmm".to_string())
-        .chain(registry::SPMM_IDS.iter().map(|id| id.to_string()))
-        .collect();
-    let sddmm_ids: Vec<String> = std::iter::once("hp-sddmm".to_string())
-        .chain(registry::SDDMM_IDS.iter().map(|id| id.to_string()))
-        .collect();
-
-    let mut diffs: Vec<KernelDiff> = Vec::new();
-    for id in &spmm_ids {
-        let mut diff = KernelDiff {
-            id: id.clone(),
-            cells: 0,
-            matching: 0,
-            cycles: 0,
-            mismatches: Vec::new(),
-        };
-        for (graph, s) in &graphs {
-            for k in CHECK_KS {
-                let kernel: Box<dyn hpsparse_core::SpmmKernel> = if id == "hp-spmm" {
-                    Box::new(HpSpmm::auto(device, s, k))
-                } else {
-                    registry::spmm_by_id(id).expect("registry id resolves")
-                };
-                let a = crate::runner::bench_features(s.cols(), k);
-                let mut ref_sim = GpuSim::new(device.clone());
-                ref_sim.set_engine(CostEngine::Reference);
-                let refr = kernel
-                    .run_on(&mut ref_sim, s, &a)
-                    .unwrap_or_else(|e| panic!("{id} on {graph} (reference): {e:?}"));
-                let fast: Vec<(&str, LaunchReport)> = FAST_ENGINES
-                    .iter()
-                    .map(|&(label, engine)| {
+        .map(|id| {
+            let mut diff = KernelDiff {
+                id: id.to_string(),
+                cells: 0,
+                matching: 0,
+                cycles: 0,
+                mismatches: Vec::new(),
+            };
+            for (graph, s) in &graphs {
+                for k in CHECK_KS {
+                    let run = |engine: CostEngine| {
                         let mut sim = GpuSim::new(device.clone());
                         sim.set_engine(engine);
-                        let run = kernel
-                            .run_on(&mut sim, s, &a)
-                            .unwrap_or_else(|e| panic!("{id} on {graph} ({label}): {e:?}"));
-                        (label, run.report)
-                    })
-                    .collect();
-                fold(&mut diff, graph, k, &fast, &refr.report);
+                        run_sweep_kernel(id, &mut sim, s, k)
+                            .unwrap_or_else(|e| panic!("{id} on {graph} ({engine:?}): {e:?}"))
+                    };
+                    let refr = run(CostEngine::Reference);
+                    fold(&mut diff, graph, k, &run(CostEngine::Batched), &refr);
+                }
             }
-        }
-        diffs.push(diff);
-    }
-    for id in &sddmm_ids {
-        let mut diff = KernelDiff {
-            id: id.clone(),
-            cells: 0,
-            matching: 0,
-            cycles: 0,
-            mismatches: Vec::new(),
-        };
-        for (graph, s) in &graphs {
-            for k in CHECK_KS {
-                let kernel: Box<dyn hpsparse_core::SddmmKernel> = if id == "hp-sddmm" {
-                    Box::new(HpSddmm::auto(device, s, k))
-                } else {
-                    registry::sddmm_by_id(id).expect("registry id resolves")
-                };
-                let a1 = crate::runner::bench_features(s.rows(), k);
-                let a2t = crate::runner::bench_features(s.cols(), k);
-                let mut ref_sim = GpuSim::new(device.clone());
-                ref_sim.set_engine(CostEngine::Reference);
-                let refr = kernel
-                    .run_on(&mut ref_sim, s, &a1, &a2t)
-                    .unwrap_or_else(|e| panic!("{id} on {graph} (reference): {e:?}"));
-                let fast: Vec<(&str, LaunchReport)> = FAST_ENGINES
-                    .iter()
-                    .map(|&(label, engine)| {
-                        let mut sim = GpuSim::new(device.clone());
-                        sim.set_engine(engine);
-                        let run = kernel
-                            .run_on(&mut sim, s, &a1, &a2t)
-                            .unwrap_or_else(|e| panic!("{id} on {graph} ({label}): {e:?}"));
-                        (label, run.report)
-                    })
-                    .collect();
-                fold(&mut diff, graph, k, &fast, &refr.report);
-            }
-        }
-        diffs.push(diff);
-    }
-    diffs
+            diff
+        })
+        .collect()
 }
 
 /// Runs the sweep and renders the verdict table.
@@ -260,7 +192,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
         text,
         json: json!({
             "device": device.name,
-            "engines": FAST_ENGINES.iter().map(|&(label, _)| json!(label)).collect::<Vec<_>>(),
+            "engines": json!(["batched"]),
             "ks": CHECK_KS.iter().map(|&k| json!(k)).collect::<Vec<_>>(),
             "effort": effort.label(),
             "edge_cap": edge_cap(effort),
@@ -279,10 +211,11 @@ mod tests {
         let out = run(&DeviceSpec::v100(), Effort::Quick);
         assert_eq!(out.json["all_match"].as_bool(), Some(true), "{}", out.text);
         // The batched engine checked against the reference on every cell:
-        // 12 SpMM (hp + 11 registry) + 3 SDDMM (hp + 2 registry), each on
-        // 19 graphs × 2 feature dimensions — 570 cells in total.
+        // 12 SpMM (hp + 11 registry) + 3 SDDMM (hp + 2 registry) + the
+        // fused attention kernel, each on 19 graphs × 2 feature dimensions
+        // — 608 cells in total.
         let kernels = out.json["kernels"].as_array().unwrap();
-        assert_eq!(kernels.len(), 15);
+        assert_eq!(kernels.len(), 16);
         assert_eq!(out.json["engines"], serde_json::json!(["batched"]));
         let mut cells = 0;
         for k in kernels {
@@ -291,6 +224,6 @@ mod tests {
             assert!(k["cycles"].as_u64().unwrap() > 0, "{}", k["id"]);
             cells += k["cells"].as_u64().unwrap();
         }
-        assert_eq!(cells, 570);
+        assert_eq!(cells, 608);
     }
 }

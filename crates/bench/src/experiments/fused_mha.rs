@@ -17,7 +17,6 @@ use hpsparse_autotune::{
 };
 use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
-use hpsparse_datasets::{full_graph_dataset, store};
 use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::Hybrid;
 use hpsparse_trace::names;
@@ -149,11 +148,7 @@ fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: u
 
 /// Runs the grid over the full-graph registry.
 pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<Cell> {
-    let cap = edge_cap(effort);
-    let graphs: Vec<(String, Hybrid)> = full_graph_dataset()
-        .into_iter()
-        .map(|spec| (spec.name.to_string(), store::graph(&spec, cap).to_hybrid()))
-        .collect();
+    let graphs = crate::runner::registry_graphs(edge_cap(effort));
     let mut cells = Vec::new();
     for (name, s) in &graphs {
         for &(heads, d) in &grid(effort) {

@@ -14,7 +14,6 @@ pub mod ksweep;
 pub mod preprocessing;
 pub mod reordering;
 pub mod sampling;
-pub mod sanitize;
 pub mod selftime;
 pub mod serve;
 pub mod summary;
@@ -72,9 +71,9 @@ pub const DEFAULT_K: usize = 64;
 
 /// Experiment catalog: every dispatchable name with a one-line summary,
 /// in `repro list` order. `all` and `selftime` are meta-modes the `repro`
-/// binary expands itself; `serve`, `verify`, and `fused-mha` are
-/// dispatchable but stay out of [`ALL_EXPERIMENTS`] (and thus out of
-/// `selftime`'s committed baseline).
+/// binary expands itself; `fig10a30`, `fastcheck`, `datasets`, `serve`
+/// and `fused-mha` are dispatchable but stay out of [`ALL_EXPERIMENTS`]
+/// (and thus out of `selftime`'s committed baseline).
 pub const CATALOG: &[(&str, &str)] = &[
     ("formats", "§II storage-format comparison"),
     ("fig9", "kernel benchmarks, full-graph dataset (V100)"),
@@ -104,12 +103,8 @@ pub const CATALOG: &[(&str, &str)] = &[
         "kernel-planner evaluation: oracle match + plan cache",
     ),
     (
-        "sanitize",
-        "memcheck/racecheck/initcheck sweep over every kernel",
-    ),
-    (
         "verify",
-        "static bounds/race/init verification with a prove-or-escalate gate",
+        "static proofs, sanitizer sweep and seeded mutants over every kernel",
     ),
     (
         "fastcheck",
@@ -167,7 +162,7 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "fused",
     "table5",
     "autotune",
-    "sanitize",
+    "verify",
     "profile",
 ];
 
@@ -207,7 +202,6 @@ pub fn dispatch(name: &str, effort: Effort) -> Option<ExperimentOutput> {
         "fused" => extensions::run_fused(effort),
         "table5" => endtoend::run(effort),
         "autotune" => autotune::run(&DeviceSpec::v100(), effort, k),
-        "sanitize" => sanitize::run(&DeviceSpec::v100(), effort),
         "verify" => verify::run(&DeviceSpec::v100(), effort),
         "formats" => formats::run(effort, k),
         "fastcheck" => fastcheck::run(&DeviceSpec::v100(), effort),

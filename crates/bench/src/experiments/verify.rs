@@ -1,4 +1,5 @@
-//! `verify` — prove-or-escalate static verification gate.
+//! `verify` — the correctness gate: static proofs, a dynamic sanitizer
+//! sweep, and seeded-mutant checks.
 //!
 //! Part 1: every registry kernel's symbolic plans (for HP kernels, every
 //! configuration the autotuner can pick) run through the
@@ -9,46 +10,60 @@
 //! a witness graph under the `hpsparse-sanitize` sink, which remains the
 //! authority for whatever the prover could not discharge.
 //!
-//! Part 2: the seeded mutants of `hpsparse_core::mutants` must be
-//! statically `Refuted` by exactly the checker their defect targets, and
-//! the refutation is cross-confirmed by the dynamic sanitizer on the
-//! mutant test graph.
+//! Part 2: every sweep kernel runs on every full-graph registry dataset
+//! with an `hpsparse-sanitize` sink attached, under all three checkers —
+//! memcheck, racecheck, initcheck. This is the repo's analogue of running
+//! `compute-sanitizer --tool <each>` over the whole benchmark suite, and
+//! the prover's soundness cross-check: every statically `Proved` kernel
+//! must come back clean on every graph.
 //!
-//! At `--full` effort the gate additionally cross-validates soundness:
-//! every statically `Proved` kernel must come back clean from the full
-//! dynamic sanitizer sweep (every kernel × every registry graph).
+//! Part 3: the seeded mutants of `hpsparse_core::mutants` must be
+//! statically `Refuted` by exactly the checker their defect targets, and
+//! the dynamic sanitizer must flag exactly the matching checker on the
+//! mutant test graph — proving both halves' detectors actually fire and
+//! do not bleed into each other.
 
-use crate::experiments::{sanitize, Effort, ExperimentOutput};
+use crate::experiments::{Effort, ExperimentOutput};
+use crate::runner::{bench_features, registry_graphs, run_sweep_kernel, sweep_ids};
 use crate::table;
 use hpsparse_core::baselines::registry;
+use hpsparse_core::hp::config::{DEFAULT_ALPHA, NNZ_PER_WARP_CANDIDATES, WARPS_PER_BLOCK};
 use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::mutants;
-use hpsparse_sanitize::sanitize_run;
+use hpsparse_sanitize::{sanitize_run, Checker, Report};
 use hpsparse_sim::{DeviceSpec, SymbolicPlan};
-use hpsparse_sparse::Hybrid;
 use hpsparse_verify::{verify_plan, CheckKind, CheckVerdict};
 use serde_json::{json, ToJson};
 
-/// Feature dimension for the dynamic escalation runs; matches the
-/// sanitizer sweep's choice (large enough for vectorized paths, small
-/// enough to bound event volume).
+/// Feature dimension for every dynamic run: large enough to exercise
+/// vectorized access paths, small enough to bound per-lane event volume.
 const VERIFY_K: usize = 32;
 
-/// Every HP configuration the autotuner enumerates; the static gate must
-/// prove all of them, not just the one `auto` picks for some graph.
-fn hp_configs() -> Vec<HpConfig> {
-    let mut out = Vec::new();
-    for npw in [512usize, 256, 128, 64, 32, 8] {
-        for vw in [1u32, 2, 4] {
-            out.push(HpConfig {
-                nnz_per_warp: npw,
-                vector_width: vw,
-                warps_per_block: 8,
-                alpha: 1.0,
-            });
-        }
+/// Edge cap for the dynamic sweep. Gather-heavy kernels emit one event
+/// per lane, so the sweep uses tighter caps than the shared
+/// [`Effort::max_edges`] to keep the kernel × registry product fast.
+fn edge_cap(effort: Effort) -> usize {
+    match effort {
+        Effort::Quick => 8_000,
+        Effort::Full => 40_000,
     }
-    out
+}
+
+/// Every HP configuration the autotuner enumerates — each DTP candidate
+/// at every vector width; the static gate must prove all of them, not
+/// just the one `auto` picks for some graph.
+pub fn hp_configs() -> Vec<HpConfig> {
+    NNZ_PER_WARP_CANDIDATES
+        .into_iter()
+        .flat_map(|nnz_per_warp| {
+            [1u32, 2, 4].map(|vector_width| HpConfig {
+                nnz_per_warp,
+                vector_width,
+                warps_per_block: WARPS_PER_BLOCK,
+                alpha: DEFAULT_ALPHA,
+            })
+        })
+        .collect()
 }
 
 /// Worst-over-variant aggregate for one checker on one kernel.
@@ -59,27 +74,48 @@ pub struct CheckAgg {
     pub variant: String,
 }
 
-/// Dynamic escalation outcome for a kernel the prover could not fully
-/// discharge.
-pub struct Escalation {
-    /// Violations per dynamic checker on the witness graph.
-    pub memcheck: u64,
-    /// Racecheck violations.
-    pub racecheck: u64,
-    /// Initcheck violations.
-    pub initcheck: u64,
+/// The dynamic sweep's outcome for one kernel across every registry
+/// graph.
+#[derive(Default)]
+pub struct Sweep {
+    /// Graphs the kernel was checked on.
+    pub graphs: usize,
+    /// Launches, events and violations summed over every graph (its
+    /// `examples` stay empty; see [`Sweep::examples`]).
+    pub totals: Report,
+    /// Names of graphs with any violation.
+    pub failing_graphs: Vec<String>,
+    /// Example violations, prefixed by their graph (first few only).
+    pub examples: Vec<String>,
 }
 
-impl Escalation {
-    /// Clean under all three dynamic checkers?
-    pub fn passed(&self) -> bool {
-        self.memcheck + self.racecheck + self.initcheck == 0
+impl Sweep {
+    fn fold(&mut self, graph: &str, report: &Report) {
+        self.graphs += 1;
+        self.totals.launches += report.launches;
+        self.totals.events += report.events;
+        self.totals.memcheck += report.memcheck;
+        self.totals.racecheck += report.racecheck;
+        self.totals.initcheck += report.initcheck;
+        hpsparse_trace::counter_add("sanitize.launches", report.launches);
+        hpsparse_trace::counter_add("sanitize.events", report.events);
+        hpsparse_trace::counter_add("sanitize.violations.memcheck", report.memcheck);
+        hpsparse_trace::counter_add("sanitize.violations.racecheck", report.racecheck);
+        hpsparse_trace::counter_add("sanitize.violations.initcheck", report.initcheck);
+        if !report.passed() {
+            self.failing_graphs.push(graph.to_string());
+            for v in report.examples.iter().take(2) {
+                if self.examples.len() < 6 {
+                    self.examples.push(format!("{graph}: {v}"));
+                }
+            }
+        }
     }
 }
 
-/// Static verdicts for one kernel, aggregated over its plan variants.
-pub struct KernelStaticVerdict {
-    /// Kernel registry id (or `hp-spmm` / `hp-sddmm`).
+/// Static and dynamic verdicts for one kernel.
+pub struct KernelVerdict {
+    /// Sweep id (see [`sweep_ids`]).
     pub id: String,
     /// Symbolic plans examined.
     pub plans: usize,
@@ -89,12 +125,13 @@ pub struct KernelStaticVerdict {
     pub race: CheckAgg,
     /// Worst init verdict.
     pub init: CheckAgg,
-    /// Dynamic run on the witness graph; `None` when fully proved (the
-    /// whole point of the gate: proved kernels skip the dynamic pass).
-    pub escalation: Option<Escalation>,
+    /// Dynamic run on the witness graph; `None` when fully proved.
+    pub escalation: Option<Report>,
+    /// The dynamic sweep over every registry graph.
+    pub sweep: Sweep,
 }
 
-impl KernelStaticVerdict {
+impl KernelVerdict {
     /// All three checkers statically proved on every variant?
     pub fn fully_proved(&self) -> bool {
         self.bounds.verdict.is_proved()
@@ -119,7 +156,7 @@ fn severity(v: &CheckVerdict) -> u8 {
     }
 }
 
-fn aggregate(id: &str, plans: &[SymbolicPlan]) -> KernelStaticVerdict {
+fn aggregate(id: &str, plans: &[SymbolicPlan]) -> KernelVerdict {
     assert!(!plans.is_empty(), "{id}: no symbolic plans emitted");
     let mut worst: [Option<CheckAgg>; 3] = [None, None, None];
     for plan in plans {
@@ -140,75 +177,37 @@ fn aggregate(id: &str, plans: &[SymbolicPlan]) -> KernelStaticVerdict {
         hpsparse_trace::counter_add("verify.plans", 1);
     }
     let [bounds, race, init] = worst.map(|slot| slot.expect("plans is non-empty"));
-    KernelStaticVerdict {
+    KernelVerdict {
         id: id.to_string(),
         plans: plans.len(),
         bounds,
         race,
         init,
         escalation: None,
+        sweep: Sweep::default(),
     }
 }
 
-/// The escalation witness graph: same triplet family as the mutant test
-/// graph — rows split across warps, scattered columns — so a dynamic run
-/// exercises chunk boundaries and gather paths.
-fn witness_graph() -> Hybrid {
-    mutants::mutant_test_graph()
-}
-
-/// Dynamic sanitizer run for one non-proved kernel on the witness graph.
-fn escalate(device: &DeviceSpec, id: &str) -> Escalation {
+/// Dynamic sanitizer run for one non-proved kernel on the escalation
+/// witness graph — the mutant test graph, whose rows split across warps
+/// and whose columns scatter, so the run exercises chunk boundaries and
+/// gather paths.
+fn escalate(device: &DeviceSpec, id: &str) -> Report {
     let _span = hpsparse_trace::span("verify:escalate");
     hpsparse_trace::counter_add("verify.escalations", 1);
-    let s = witness_graph();
-    let report = sanitize_run(device.clone(), |sim| {
-        if id == "hp-fused-mha" {
-            let kernel = HpFusedMha::auto(device, &s, VERIFY_K);
-            let q: Vec<_> = (0..2)
-                .map(|_| crate::runner::bench_features(s.rows(), VERIFY_K))
-                .collect();
-            let kv: Vec<_> = (0..2)
-                .map(|_| crate::runner::bench_features(s.cols(), VERIFY_K))
-                .collect();
-            kernel
-                .run_on(sim, &s, &q, &kv, &kv)
-                .unwrap_or_else(|e| panic!("escalation {id}: {e:?}"));
-        } else if id == "hp-spmm" || registry::spmm_by_id(id).is_some() {
-            let kernel: Box<dyn hpsparse_core::SpmmKernel> = if id == "hp-spmm" {
-                Box::new(HpSpmm::auto(device, &s, VERIFY_K))
-            } else {
-                registry::spmm_by_id(id).expect("checked above")
-            };
-            let a = crate::runner::bench_features(s.cols(), VERIFY_K);
-            kernel
-                .run_on(sim, &s, &a)
-                .unwrap_or_else(|e| panic!("escalation {id}: {e:?}"));
-        } else {
-            let kernel: Box<dyn hpsparse_core::SddmmKernel> = if id == "hp-sddmm" {
-                Box::new(HpSddmm::auto(device, &s, VERIFY_K))
-            } else {
-                registry::sddmm_by_id(id).expect("registry id resolves")
-            };
-            let a1 = crate::runner::bench_features(s.rows(), VERIFY_K);
-            let a2t = crate::runner::bench_features(s.cols(), VERIFY_K);
-            kernel
-                .run_on(sim, &s, &a1, &a2t)
-                .unwrap_or_else(|e| panic!("escalation {id}: {e:?}"));
-        }
-    });
-    Escalation {
-        memcheck: report.memcheck,
-        racecheck: report.racecheck,
-        initcheck: report.initcheck,
-    }
+    let s = mutants::mutant_test_graph();
+    sanitize_run(device.clone(), |sim| {
+        run_sweep_kernel(id, sim, &s, VERIFY_K)
+            .unwrap_or_else(|e| panic!("escalation {id}: {e:?}"));
+    })
 }
 
 /// Static verdicts for every registry kernel, escalating non-proved ones
-/// to the dynamic sanitizer. Hard-asserts the gate's invariants: all 16
-/// kernels get a verdict and no unmutated kernel is statically refuted.
-pub fn collect(device: &DeviceSpec) -> Vec<KernelStaticVerdict> {
-    let mut verdicts: Vec<KernelStaticVerdict> = Vec::new();
+/// to the dynamic sanitizer. Hard-asserts the gate's invariants: every
+/// sweep kernel gets a verdict and no unmutated kernel is statically
+/// refuted.
+pub fn collect(device: &DeviceSpec) -> Vec<KernelVerdict> {
+    let mut verdicts: Vec<KernelVerdict> = Vec::new();
 
     {
         let _span = hpsparse_trace::span("verify:hp-spmm");
@@ -260,17 +259,50 @@ pub fn collect(device: &DeviceSpec) -> Vec<KernelStaticVerdict> {
             v.init.verdict.status()
         );
     }
-    assert_eq!(
-        verdicts.len(),
-        1 + registry::SPMM_IDS.len() + 1 + registry::SDDMM_IDS.len() + 1,
-        "every registry kernel must get a verdict"
-    );
+    let ids: Vec<&str> = verdicts.iter().map(|v| v.id.as_str()).collect();
+    assert_eq!(ids, sweep_ids(), "every sweep kernel must get a verdict");
     verdicts
 }
 
+/// Runs the dynamic sweep — every kernel × every registry graph, one fresh
+/// sanitized simulator per cell — into each verdict's [`Sweep`], and
+/// asserts every statically proved kernel came back clean.
+pub fn sweep(device: &DeviceSpec, effort: Effort, verdicts: &mut [KernelVerdict]) {
+    let graphs = registry_graphs(edge_cap(effort));
+    for v in verdicts.iter_mut() {
+        let id = v.id.as_str();
+        let _span = hpsparse_trace::span_with(
+            &format!("sanitize:{id}"),
+            &[("graphs", json!(graphs.len()))],
+        );
+        for (graph, s) in &graphs {
+            let report = sanitize_run(device.clone(), |sim| {
+                run_sweep_kernel(id, sim, s, VERIFY_K)
+                    .unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}"));
+            });
+            v.sweep.fold(graph, &report);
+        }
+        assert!(
+            !v.fully_proved() || v.sweep.totals.passed(),
+            "{id}: statically proved but the dynamic sanitizer found {} violations on {:?}",
+            v.sweep.totals.total(),
+            v.sweep.failing_graphs
+        );
+    }
+}
+
+/// The dynamic checker that corresponds to a static one.
+fn dynamic_checker(kind: CheckKind) -> Checker {
+    match kind {
+        CheckKind::Bounds => Checker::Memcheck,
+        CheckKind::Race => Checker::Racecheck,
+        CheckKind::Init => Checker::Initcheck,
+    }
+}
+
 /// One mutant's gate verdict: statically refuted by exactly the intended
-/// checker, with the refutation confirmed dynamically.
-pub struct MutantStaticVerdict {
+/// checker, and flagged dynamically by exactly the matching one.
+pub struct MutantVerdict {
     /// Mutant kernel name.
     pub name: String,
     /// The checker the seeded defect must trip.
@@ -279,24 +311,41 @@ pub struct MutantStaticVerdict {
     pub verdict: CheckVerdict,
     /// No *other* checker refuted (defects must not bleed).
     pub others_clean: bool,
-    /// The dynamic sanitizer flagged exactly the same checker.
-    pub dynamically_confirmed: bool,
+    /// The dynamic sanitizer's report on the mutant test graph.
+    pub dynamic: Report,
 }
 
-impl MutantStaticVerdict {
+impl MutantVerdict {
+    /// The dynamic sanitizer flagged the matching checker and nothing
+    /// else?
+    pub fn dynamically_confirmed(&self) -> bool {
+        CheckKind::ALL
+            .into_iter()
+            .all(|k| (self.dynamic.count(dynamic_checker(k)) > 0) == (k == self.expected))
+    }
+
     /// Statically refuted on the intended checker, nowhere else, and
     /// dynamically confirmed?
     pub fn caught(&self) -> bool {
-        self.verdict.is_refuted() && self.others_clean && self.dynamically_confirmed
+        self.verdict.is_refuted() && self.others_clean && self.dynamically_confirmed()
+    }
+
+    /// First dynamic violation (kernel + address attribution).
+    pub fn example(&self) -> String {
+        self.dynamic
+            .examples
+            .first()
+            .map_or_else(|| "none".into(), |v| v.to_string())
     }
 }
 
-/// Verifies every seeded mutant statically and cross-confirms each
-/// refutation with the dynamic sanitizer. Hard-asserts all are caught.
-pub fn collect_mutants(device: &DeviceSpec) -> Vec<MutantStaticVerdict> {
+/// Checks every seeded mutant statically and under the dynamic sanitizer.
+/// Hard-asserts all are caught.
+pub fn collect_mutants(device: &DeviceSpec) -> Vec<MutantVerdict> {
     let _span = hpsparse_trace::span("verify:mutants");
-    let dynamic = sanitize::collect_mutants(device);
-    let verdicts: Vec<MutantStaticVerdict> = mutants::all_mutants()
+    let s = mutants::mutant_test_graph();
+    let a = bench_features(s.cols(), VERIFY_K);
+    let verdicts: Vec<MutantVerdict> = mutants::all_mutants()
         .into_iter()
         .map(|m| {
             let expected = match m.name() {
@@ -313,72 +362,40 @@ pub fn collect_mutants(device: &DeviceSpec) -> Vec<MutantStaticVerdict> {
                 .into_iter()
                 .filter(|k| *k != expected)
                 .all(|k| !v.check(k).is_refuted());
-            let dynamically_confirmed = dynamic
-                .iter()
-                .any(|d| d.name == m.name() && d.exactly_intended());
-            MutantStaticVerdict {
+            let dynamic = sanitize_run(device.clone(), |sim| {
+                m.run_on(sim, &s, &a).expect("mutants run");
+            });
+            MutantVerdict {
                 name: m.name().to_string(),
                 expected,
                 verdict: v.check(expected).clone(),
                 others_clean,
-                dynamically_confirmed,
+                dynamic,
             }
         })
         .collect();
     for m in &verdicts {
         assert!(
             m.caught(),
-            "{}: expected a statically refuted, dynamically confirmed {} defect (got {})",
+            "{}: expected a statically refuted, dynamically confirmed {} defect (got {}, {})",
             m.name,
             m.expected,
-            m.verdict.status()
+            m.verdict.status(),
+            m.dynamic
         );
     }
     verdicts
 }
 
-/// Full-effort soundness cross-check: every statically proved kernel must
-/// come back clean from the dynamic sweep over every registry graph.
-/// Returns (kernels cross-checked, graphs per kernel).
-fn cross_validate(
-    device: &DeviceSpec,
-    effort: Effort,
-    verdicts: &[KernelStaticVerdict],
-) -> (usize, usize) {
-    let _span = hpsparse_trace::span("verify:cross-validate");
-    let dynamic = sanitize::collect(device, effort, VERIFY_K);
-    let mut checked = 0;
-    let mut graphs = 0;
-    for v in verdicts.iter().filter(|v| v.fully_proved()) {
-        let d = dynamic
-            .iter()
-            .find(|d| d.id == v.id)
-            .unwrap_or_else(|| panic!("{}: missing from dynamic sweep", v.id));
-        assert!(
-            d.passed(),
-            "{}: statically proved but the dynamic sanitizer found {} violations on {:?}",
-            v.id,
-            d.memcheck + d.racecheck + d.initcheck,
-            d.failing_graphs
-        );
-        checked += 1;
-        graphs = graphs.max(d.graphs);
-    }
-    (checked, graphs)
-}
-
 /// Runs the gate and renders the verdict tables.
 pub fn run(device: &DeviceSpec, effort: Effort) -> ExperimentOutput {
-    let verdicts = collect(device);
+    let mut verdicts = collect(device);
+    sweep(device, effort, &mut verdicts);
     let mutant_verdicts = collect_mutants(device);
-    let cross = match effort {
-        Effort::Quick => None,
-        Effort::Full => Some(cross_validate(device, effort, &verdicts)),
-    };
-    render(device, effort, &verdicts, &mutant_verdicts, cross)
+    render(device, effort, &verdicts, &mutant_verdicts)
 }
 
-fn gate_cell(v: &KernelStaticVerdict) -> String {
+fn gate_cell(v: &KernelVerdict) -> String {
     match &v.escalation {
         None => "proved".to_string(),
         Some(e) if e.passed() => "escalated: dynamic PASS".to_string(),
@@ -397,13 +414,24 @@ fn check_cell(agg: &CheckAgg) -> String {
     }
 }
 
+fn sweep_cell(sweep: &Sweep) -> String {
+    let t = &sweep.totals;
+    if t.passed() {
+        "PASS".to_string()
+    } else {
+        format!(
+            "FAIL (mem={} race={} init={})",
+            t.memcheck, t.racecheck, t.initcheck
+        )
+    }
+}
+
 /// Formats the verification report.
 pub fn render(
     device: &DeviceSpec,
     effort: Effort,
-    verdicts: &[KernelStaticVerdict],
-    mutant_verdicts: &[MutantStaticVerdict],
-    cross: Option<(usize, usize)>,
+    verdicts: &[KernelVerdict],
+    mutant_verdicts: &[MutantVerdict],
 ) -> ExperimentOutput {
     let rows: Vec<Vec<String>> = verdicts
         .iter()
@@ -415,10 +443,15 @@ pub fn render(
                 check_cell(&v.race),
                 check_cell(&v.init),
                 gate_cell(v),
+                format!("{}", v.sweep.graphs),
+                format!("{}", v.sweep.totals.events),
+                sweep_cell(&v.sweep),
             ]
         })
         .collect();
-    let header = ["Kernel", "Plans", "Bounds", "Race", "Init", "Gate"];
+    let header = [
+        "Kernel", "Plans", "Bounds", "Race", "Init", "Gate", "Graphs", "Events", "Dynamic",
+    ];
 
     let mutant_rows: Vec<Vec<String>> = mutant_verdicts
         .iter()
@@ -431,7 +464,12 @@ pub fn render(
                 m.name.clone(),
                 m.expected.to_string(),
                 m.verdict.status().to_string(),
-                if m.dynamically_confirmed { "yes" } else { "NO" }.to_string(),
+                if m.dynamically_confirmed() {
+                    "yes"
+                } else {
+                    "NO"
+                }
+                .to_string(),
                 cex,
             ]
         })
@@ -446,25 +484,39 @@ pub fn render(
 
     let proved = verdicts.iter().filter(|v| v.fully_proved()).count();
     let escalated = verdicts.len() - proved;
-    let cross_note = match cross {
-        Some((kernels, graphs)) => format!(
-            "  soundness cross-check: {kernels} statically proved kernels × {graphs} registry \
-             graphs re-ran under the dynamic sanitizer — all clean\n"
-        ),
-        None => String::from(
-            "  (soundness cross-check against the full dynamic sweep runs at --full effort)\n",
-        ),
-    };
+    let clean = verdicts.iter().filter(|v| v.sweep.totals.passed()).count();
+    let graphs = verdicts.iter().map(|v| v.sweep.graphs).max().unwrap_or(0);
+    let mut failures = String::new();
+    for v in verdicts.iter().filter(|v| !v.sweep.totals.passed()) {
+        failures.push_str(&format!(
+            "  {} fails on: {}\n",
+            v.id,
+            v.sweep.failing_graphs.join(", ")
+        ));
+        for e in &v.sweep.examples {
+            failures.push_str(&format!("    {e}\n"));
+        }
+    }
+    let examples: String = mutant_verdicts
+        .iter()
+        .map(|m| format!("  {}\n", m.example()))
+        .collect();
 
     let text = format!(
-        "verify — static bounds/race/init verification over symbolic plans, {} ({})\n\n{}\n  \
+        "verify — static bounds/race/init verification over symbolic plans, then a \
+         memcheck/racecheck/initcheck sweep at K = {VERIFY_K}, {} ({}, edge cap {})\n\n{}\n  \
          gate: {proved}/{} kernels statically proved on every variant; {escalated} escalated \
-         to the dynamic sanitizer\n{cross_note}\n\
+         to the dynamic sanitizer\n  \
+         sweep: {clean}/{} kernels clean under the dynamic sanitizer on all {graphs} registry \
+         graphs (every statically proved kernel must be)\n{failures}\n\
          seeded-mutant refutation (each defect statically refuted on exactly its checker,\n\
-         confirmed by the dynamic sanitizer on the mutant test graph):\n\n{}",
+         confirmed by the dynamic sanitizer on the mutant test graph):\n\n{}\n  \
+         example violations:\n{examples}",
         device.name,
         effort.label(),
+        edge_cap(effort),
         table::render(&header, &rows),
+        verdicts.len(),
         verdicts.len(),
         table::render(&mutant_header, &mutant_rows),
     );
@@ -478,6 +530,7 @@ pub fn render(
                     "variant": agg.variant.as_str(),
                 })
             };
+            let t = &v.sweep.totals;
             json!({
                 "id": v.id.as_str(),
                 "plans": v.plans,
@@ -494,6 +547,14 @@ pub fn render(
                     }),
                     None => serde_json::Value::Null,
                 },
+                "graphs": v.sweep.graphs,
+                "launches": t.launches,
+                "events": t.events,
+                "memcheck": t.memcheck,
+                "racecheck": t.racecheck,
+                "initcheck": t.initcheck,
+                "dynamic_pass": t.passed(),
+                "failing_graphs": v.sweep.failing_graphs,
             })
         })
         .collect();
@@ -508,7 +569,11 @@ pub fn render(
                     CheckVerdict::Refuted(cex) => cex.to_json(),
                     _ => serde_json::Value::Null,
                 },
-                "dynamically_confirmed": m.dynamically_confirmed,
+                "memcheck": m.dynamic.memcheck,
+                "racecheck": m.dynamic.racecheck,
+                "initcheck": m.dynamic.initcheck,
+                "example": m.example(),
+                "dynamically_confirmed": m.dynamically_confirmed(),
                 "caught": m.caught(),
             })
         })
@@ -520,10 +585,11 @@ pub fn render(
         json: json!({
             "device": device.name,
             "effort": effort.label(),
+            "k": VERIFY_K,
+            "edge_cap": edge_cap(effort),
             "kernels_proved": proved,
             "kernels_escalated": escalated,
-            "cross_checked_kernels": cross.map(|(k, _)| k),
-            "cross_checked_graphs": cross.map(|(_, g)| g),
+            "kernels_dynamic_clean": clean,
             "kernels": json_kernels,
             "mutants": json_mutants,
         }),
@@ -535,8 +601,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn acceptance_all_kernels_proved_and_mutants_refuted() {
+    fn acceptance_all_kernels_proved_clean_and_mutants_caught() {
         let out = run(&DeviceSpec::v100(), Effort::Quick);
+        // 12 SpMM (hp + 11 registry) + 3 SDDMM (hp + 2 registry) + the
+        // fused attention kernel, each swept over 19 graphs.
         let kernels = out.json["kernels"].as_array().unwrap();
         assert_eq!(kernels.len(), 16);
         assert_eq!(
@@ -546,18 +614,28 @@ mod tests {
             out.text
         );
         assert_eq!(out.json["kernels_escalated"].as_u64(), Some(0));
+        assert_eq!(out.json["kernels_dynamic_clean"].as_u64(), Some(16));
         for k in kernels {
             assert_eq!(k["fully_proved"].as_bool(), Some(true), "{}", k["id"]);
             assert!(k["plans"].as_u64().unwrap() > 0, "{}", k["id"]);
+            assert_eq!(k["graphs"].as_u64(), Some(19), "{}", k["id"]);
+            assert!(k["events"].as_u64().unwrap() > 0, "{}", k["id"]);
+            for checker in ["memcheck", "racecheck", "initcheck"] {
+                assert_eq!(k[checker].as_u64(), Some(0), "{} {checker}", k["id"]);
+            }
         }
         // The HP kernels aggregate over the full autotuner enumeration.
-        assert!(kernels[0]["plans"].as_u64().unwrap() >= 18);
+        assert_eq!(kernels[0]["plans"].as_u64(), Some(18));
         let mutants = out.json["mutants"].as_array().unwrap();
         assert_eq!(mutants.len(), 4);
         for m in mutants {
             assert_eq!(m["static"].as_str(), Some("refuted"), "{}", m["name"]);
             assert_eq!(m["caught"].as_bool(), Some(true), "{}", m["name"]);
             assert!(!m["counterexample"]["buffer"].as_str().unwrap().is_empty());
+            // Dynamic examples carry the kernel name and a hex address.
+            let example = m["example"].as_str().unwrap();
+            assert!(example.contains("mutant:"), "{example}");
+            assert!(example.contains("0x"), "{example}");
         }
     }
 

@@ -1,10 +1,11 @@
 //! Kernel execution helpers shared by the experiments.
 
-use hpsparse_core::baselines::{sddmm_by_id, spmm_by_id};
-use hpsparse_core::hp::{HpSddmm, HpSpmm};
+use hpsparse_core::baselines::{sddmm_by_id, spmm_by_id, SDDMM_IDS, SPMM_IDS};
+use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
-use hpsparse_sim::DeviceSpec;
-use hpsparse_sparse::{Dense, Graph, Hybrid};
+use hpsparse_datasets::{full_graph_dataset, store};
+use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport};
+use hpsparse_sparse::{Dense, FormatError, Graph, Hybrid};
 
 /// One kernel's timing on one input.
 #[derive(Debug, Clone)]
@@ -47,6 +48,73 @@ pub fn sddmm_contenders() -> Vec<Box<dyn SddmmKernel>> {
 /// Deterministic feature matrix for kernel benchmarks.
 pub fn bench_features(rows: usize, k: usize) -> Dense {
     Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
+}
+
+/// Every full-graph registry dataset, capped at `edge_cap` edges, as
+/// `(name, matrix)` pairs in registry order.
+pub fn registry_graphs(edge_cap: usize) -> Vec<(&'static str, Hybrid)> {
+    full_graph_dataset()
+        .into_iter()
+        .map(|spec| (spec.name, store::graph(&spec, edge_cap).to_hybrid()))
+        .collect()
+}
+
+/// Every kernel the registry sweeps (`verify`, `fastcheck`, the
+/// attribution test) cover, in report order: HP-SpMM, the SpMM
+/// baselines, HP-SDDMM, the SDDMM baselines, then fused attention.
+pub fn sweep_ids() -> Vec<&'static str> {
+    std::iter::once("hp-spmm")
+        .chain(SPMM_IDS)
+        .chain(["hp-sddmm"])
+        .chain(SDDMM_IDS)
+        .chain(["hp-fused-mha"])
+        .collect()
+}
+
+/// Attention heads the fused kernel runs with in sweeps: two, so the
+/// multi-head indexing is exercised.
+const SWEEP_HEADS: usize = 2;
+
+/// Runs sweep kernel `id` (one of [`sweep_ids`]) on `sim` over `s` at
+/// feature width `k` and returns its launch reports. HP kernels take the
+/// `auto` configuration for the simulator's device. Operands are
+/// [`bench_features`]: `cols × k` for SpMM, `(rows × k, cols × k)` for
+/// SDDMM, and two heads of `rows × k` queries over `cols × k` keys/values
+/// for fused attention.
+///
+/// # Panics
+/// On an id outside [`sweep_ids`].
+pub fn run_sweep_kernel(
+    id: &str,
+    sim: &mut GpuSim,
+    s: &Hybrid,
+    k: usize,
+) -> Result<Vec<LaunchReport>, FormatError> {
+    let spmm = |kernel: &dyn SpmmKernel, sim: &mut GpuSim| {
+        kernel
+            .run_on(sim, s, &bench_features(s.cols(), k))
+            .map(|run| vec![run.report])
+    };
+    let sddmm = |kernel: &dyn SddmmKernel, sim: &mut GpuSim| {
+        let (a1, a2t) = (bench_features(s.rows(), k), bench_features(s.cols(), k));
+        kernel.run_on(sim, s, &a1, &a2t).map(|run| vec![run.report])
+    };
+    match id {
+        "hp-spmm" => spmm(&HpSpmm::auto(sim.device(), s, k), sim),
+        "hp-sddmm" => sddmm(&HpSddmm::auto(sim.device(), s, k), sim),
+        "hp-fused-mha" => {
+            let q = vec![bench_features(s.rows(), k); SWEEP_HEADS];
+            let kv = vec![bench_features(s.cols(), k); SWEEP_HEADS];
+            HpFusedMha::auto(sim.device(), s, k)
+                .run_on(sim, s, &q, &kv, &kv)
+                .map(|run| run.reports)
+        }
+        _ => match (spmm_by_id(id), sddmm_by_id(id)) {
+            (Some(kernel), _) => spmm(kernel.as_ref(), sim),
+            (_, Some(kernel)) => sddmm(kernel.as_ref(), sim),
+            _ => panic!("unknown sweep kernel {id}"),
+        },
+    }
 }
 
 /// Runs one SpMM kernel cold and converts its run into a [`KernelTiming`].

@@ -1,6 +1,7 @@
 //! Pins the planner ↔ profiler attribution contract on the full kernel
-//! registry: for every one of the 15 kernels (HP-SpMM, HP-SDDMM, 11 SpMM
-//! baselines, 2 SDDMM baselines) on quick graphs,
+//! registry: for every one of the 16 sweep kernels (HP-SpMM, 11 SpMM
+//! baselines, HP-SDDMM, 2 SDDMM baselines, HP-Fused-MHA) on quick graphs,
+//! for every launch,
 //!
 //! * the cold-run attribution verdict is well-formed — a bound class from
 //!   the five-way taxonomy plus a quantified headroom percentage,
@@ -15,9 +16,7 @@
 use hpsparse_autotune::{
     instantiate_sddmm, instantiate_spmm, measurement_features, PlanStrategy, Planner,
 };
-use hpsparse_core::baselines::registry;
-use hpsparse_core::hp::{HpSddmm, HpSpmm};
-use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
+use hpsparse_bench::runner::{run_sweep_kernel, sweep_ids};
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
 use hpsparse_sim::{attribute, profile, DeviceSpec, GpuSim, LaunchReport};
@@ -64,67 +63,48 @@ fn assert_well_formed(kernel: &str, graph: &str, verdict: &str) {
     );
 }
 
-fn check(kernel: &str, graph: &str, device: &DeviceSpec, run: impl Fn() -> LaunchReport) {
-    let report = run();
-    let verdict = attribute(&report, device).verdict();
-    assert_well_formed(kernel, graph, &verdict);
-    // The profile block's "bound by" line IS the attribution verdict.
-    let rendered = profile::render(kernel, &report, device);
-    assert!(
-        rendered.contains(&format!("bound by     : {verdict}\n")),
-        "{kernel} on {graph}: profile disagrees with attribution:\n{rendered}"
-    );
-    // Cold re-run: the verdict is a pure function of the launch.
-    let again = attribute(&run(), device).verdict();
+fn check(kernel: &str, graph: &str, device: &DeviceSpec, run: impl Fn() -> Vec<LaunchReport>) {
+    let reports = run();
+    assert!(!reports.is_empty(), "{kernel} on {graph}: no launches");
+    let verdicts: Vec<String> = reports
+        .iter()
+        .map(|report| attribute(report, device).verdict())
+        .collect();
+    for (report, verdict) in reports.iter().zip(&verdicts) {
+        assert_well_formed(kernel, graph, verdict);
+        // The profile block's "bound by" line IS the attribution verdict.
+        let rendered = profile::render(kernel, report, device);
+        assert!(
+            rendered.contains(&format!("bound by     : {verdict}\n")),
+            "{kernel} on {graph}: profile disagrees with attribution:\n{rendered}"
+        );
+    }
+    // Cold re-run: the verdicts are a pure function of the launches.
+    let again: Vec<String> = run()
+        .iter()
+        .map(|report| attribute(report, device).verdict())
+        .collect();
     assert_eq!(
-        verdict, again,
+        verdicts, again,
         "{kernel} on {graph}: verdict not deterministic"
     );
 }
 
 #[test]
-fn all_fifteen_registry_kernels_attribute_cleanly_on_quick_graphs() {
+fn all_sixteen_sweep_kernels_attribute_cleanly_on_quick_graphs() {
     let device = DeviceSpec::v100();
-    let graphs = quick_graphs();
-    let mut kernels = 0usize;
-    for (graph, s) in &graphs {
-        let a = measurement_features(s.cols(), K);
-        let a1 = measurement_features(s.rows(), K);
-
-        let spmm_ids: Vec<String> = std::iter::once("hp-spmm".to_string())
-            .chain(registry::SPMM_IDS.iter().map(|id| id.to_string()))
-            .collect();
-        for id in &spmm_ids {
-            let kernel: Box<dyn SpmmKernel> = if id == "hp-spmm" {
-                Box::new(HpSpmm::auto(&device, s, K))
-            } else {
-                registry::spmm_by_id(id).expect("registry id resolves")
-            };
+    let mut checks = 0usize;
+    for (graph, s) in &quick_graphs() {
+        for id in sweep_ids() {
             check(id, graph, &device, || {
                 let mut sim = GpuSim::new(device.clone());
-                kernel.run_on(&mut sim, s, &a).unwrap().report
+                run_sweep_kernel(id, &mut sim, s, K).unwrap()
             });
-            kernels += 1;
-        }
-
-        let sddmm_ids: Vec<String> = std::iter::once("hp-sddmm".to_string())
-            .chain(registry::SDDMM_IDS.iter().map(|id| id.to_string()))
-            .collect();
-        for id in &sddmm_ids {
-            let kernel: Box<dyn SddmmKernel> = if id == "hp-sddmm" {
-                Box::new(HpSddmm::auto(&device, s, K))
-            } else {
-                registry::sddmm_by_id(id).expect("registry id resolves")
-            };
-            check(id, graph, &device, || {
-                let mut sim = GpuSim::new(device.clone());
-                kernel.run_on(&mut sim, s, &a1, &a).unwrap().report
-            });
-            kernels += 1;
+            checks += 1;
         }
     }
-    // 15 kernels on each of the two quick graphs.
-    assert_eq!(kernels, 30);
+    // 16 kernels on each of the two quick graphs.
+    assert_eq!(checks, 32);
 }
 
 #[test]

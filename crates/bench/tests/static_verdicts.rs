@@ -5,25 +5,11 @@
 //! and each seeded mutant must be statically `Refuted` by exactly the
 //! checker its defect targets, with a concrete counterexample attached.
 
+use hpsparse_bench::experiments::verify::hp_configs;
 use hpsparse_core::baselines::registry;
-use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
+use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::mutants;
 use hpsparse_verify::{verify_plan, CheckKind, CheckVerdict};
-
-fn hp_configs() -> Vec<HpConfig> {
-    let mut out = Vec::new();
-    for npw in [512usize, 256, 128, 64, 32, 8] {
-        for vw in [1u32, 2, 4] {
-            out.push(HpConfig {
-                nnz_per_warp: npw,
-                vector_width: vw,
-                warps_per_block: 8,
-                alpha: 1.0,
-            });
-        }
-    }
-    out
-}
 
 fn expect_all_proved(
     label: &str,

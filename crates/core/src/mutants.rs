@@ -21,7 +21,7 @@
 //! while mis-describing their memory traffic — the simulated analogue of a
 //! CUDA kernel whose bug corrupts memory without changing the tested
 //! output. They are deliberately kept out of the benchmark registry;
-//! `repro -- sanitize` and the sanitizer's integration tests are their
+//! `repro -- verify` and the sanitizer's integration tests are their
 //! only callers.
 
 use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
