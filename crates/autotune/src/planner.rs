@@ -79,7 +79,7 @@ impl Plan {
 
 /// Which sparse operation a plan is for (plans for the same matrix differ
 /// between SpMM and SDDMM, so caches key on this too).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpKind {
     /// `O = S · A`.
     Spmm,

@@ -12,6 +12,22 @@
 //! cost the same under every kernel choice, so they are accounted with a
 //! roofline estimate shared by all; the speedup ratio then behaves like the
 //! paper's NSys-measured total CUDA computation time.
+//!
+//! # Launch replay
+//!
+//! Full-graph training issues the same sparse launches every epoch. A
+//! kernel run's reports depend only on the kernel and its config, the
+//! sparsity structure and the dense shapes (see `hpsparse_sim::launch`),
+//! so [`SimBackend`] simulates each distinct run once and replays it after
+//! that. The memo key is the op, the kernel (the [`Plan`] when planned,
+//! otherwise the pinned choice, which is a function of the rest of the
+//! key), the rows, columns and non-zeros, the dense dims (`k`, and the
+//! head count for attention) and a 128-bit hash of the row and column
+//! indices. A miss simulates and records the run's launches; a hit reruns
+//! the kernel bodies numerics-only and takes the recorded reports. Either
+//! way the ledger charges the same cycles and the outputs are the same
+//! bits. While a sink or a tracer is attached to the backend's simulator
+//! the memo is bypassed, so sanitizer runs and traces see every launch.
 
 use hpsparse_autotune::{
     edge_softmax_cycles, instantiate_fused_mha, instantiate_sddmm, instantiate_spmm,
@@ -23,8 +39,9 @@ use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
 
 use crate::gat::edge_softmax;
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
-use hpsparse_sim::{DeviceSpec, GpuSim};
+use hpsparse_sim::{DeviceSpec, GpuSim, LaunchRecording};
 use hpsparse_sparse::{Dense, Hybrid};
+use std::collections::HashMap;
 
 /// FP32 FMA throughput used for the dense-GEMM roofline, in FLOPs per SM
 /// clock (V100: 80 SM × 64 FP32 lanes × 2 ≈ 10240).
@@ -149,6 +166,64 @@ enum KernelChoice {
     },
 }
 
+/// Distinct kernel runs a [`SimBackend`] keeps recordings of. When full the
+/// memo starts over, which bounds its memory when every call is new (served
+/// batches, sampled subgraphs); training reuses a few dozen runs at most.
+const MEMO_CAPACITY: usize = 64;
+
+/// What a kernel run's launch reports depend on (see the module docs).
+#[derive(PartialEq, Eq, Hash)]
+struct RunKey {
+    op: OpKind,
+    /// The planned kernel id; `None` on a pinned backend.
+    kernel_id: Option<String>,
+    /// The planned HP config as `(nnz_per_warp, vector_width,
+    /// warps_per_block, alpha bits)`.
+    config: Option<(usize, u32, u32, u64)>,
+    rows: usize,
+    cols: usize,
+    nnz: usize,
+    k: usize,
+    heads: usize,
+    structure: u128,
+}
+
+impl RunKey {
+    fn new(op: OpKind, plan: Option<Plan>, s: &Hybrid, k: usize, heads: usize) -> Self {
+        let (kernel_id, config) = plan.map_or((None, None), |p| (Some(p.kernel_id), p.config));
+        Self {
+            op,
+            kernel_id,
+            config: config.map(|c| {
+                (
+                    c.nnz_per_warp,
+                    c.vector_width,
+                    c.warps_per_block,
+                    c.alpha.to_bits(),
+                )
+            }),
+            rows: s.rows(),
+            cols: s.cols(),
+            nnz: s.nnz(),
+            k,
+            heads,
+            structure: structure_hash(s),
+        }
+    }
+}
+
+/// 128-bit hash of the sparsity structure: two independent
+/// multiply-rotate lanes over every `(row, col)` pair, in element order.
+fn structure_hash(s: &Hybrid) -> u128 {
+    let (mut a, mut b) = (0x243f_6a88_85a3_08d3u64, 0x1319_8a2e_0370_7344u64);
+    for (&r, &c) in s.row_indices().iter().zip(s.col_indices()) {
+        let w = (u64::from(r) << 32) | u64::from(c);
+        a = (a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+        b = (b.rotate_left(23) ^ w).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+    }
+    (u128::from(a) << 64) | u128::from(b)
+}
+
 /// The simulated backend: runs every sparse op on one [`GpuSim`] and
 /// charges exec + preprocessing + launch overhead to one ledger. Only the
 /// kernel choice differs between Table V's "w/o HP-SpMM" run
@@ -164,6 +239,10 @@ pub struct SimBackend {
     choice: KernelChoice,
     sparse_cycles: u64,
     dense_cycles: u64,
+    /// Recorded kernel runs (see the module docs).
+    memo: HashMap<RunKey, LaunchRecording>,
+    launch_replays: u64,
+    launch_records: u64,
 }
 
 /// Alias of [`SimBackend`] for autotuning code: `AutoBackend::new` builds
@@ -177,6 +256,9 @@ impl SimBackend {
             choice,
             sparse_cycles: 0,
             dense_cycles: 0,
+            memo: HashMap::new(),
+            launch_replays: 0,
+            launch_records: 0,
         }
     }
 
@@ -269,6 +351,44 @@ impl SimBackend {
         Some(plan)
     }
 
+    /// Sparse calls answered by replaying a recorded kernel run.
+    pub fn launch_replays(&self) -> u64 {
+        self.launch_replays
+    }
+
+    /// Sparse calls simulated and recorded for later replay. Calls made
+    /// while a sink or tracer is attached count as neither.
+    pub fn launch_records(&self) -> u64 {
+        self.launch_records
+    }
+
+    /// Runs one kernel run on the simulator through the launch memo:
+    /// replayed if `key` was recorded, simulated and recorded if not, and
+    /// simulated directly while a sink or tracer is attached.
+    fn memoized<R>(
+        &mut self,
+        key: impl FnOnce() -> RunKey,
+        run: impl FnOnce(&mut GpuSim) -> R,
+    ) -> R {
+        if self.sim.sink_attached() || self.sim.tracer_attached() {
+            return run(&mut self.sim);
+        }
+        let key = key();
+        if let Some(recording) = self.memo.get(&key) {
+            self.launch_replays += 1;
+            hpsparse_trace::counter_add("gnn.launch_replay.hit", 1);
+            return self.sim.replay(recording, run);
+        }
+        self.launch_records += 1;
+        hpsparse_trace::counter_add("gnn.launch_replay.miss", 1);
+        let (out, recording) = self.sim.record(run);
+        if self.memo.len() >= MEMO_CAPACITY {
+            self.memo.clear();
+        }
+        self.memo.insert(key, recording);
+        out
+    }
+
     /// Charges one launch: its execution (plus preprocessing) cycles and
     /// the fixed launch overhead.
     fn charge_launch(&mut self, cycles: u64) {
@@ -287,32 +407,38 @@ impl SparseBackend for SimBackend {
 
     fn spmm(&mut self, s: &Hybrid, a: &Dense) -> Dense {
         let k = a.cols();
+        let plan = self.plan(OpKind::Spmm, s, k, 1);
         let kernel: Box<dyn SpmmKernel> = match self.choice {
             KernelChoice::Baseline => Box::new(CusparseCsrAlg2),
             // Pinned HP runs the paper's selector; so does a plan from a
             // stale persisted cache naming a kernel this build doesn't know.
-            _ => self
-                .plan(OpKind::Spmm, s, k, 1)
+            _ => plan
+                .as_ref()
                 .and_then(|plan| instantiate_spmm(&plan.candidate()))
                 .unwrap_or_else(|| Box::new(HpSpmm::auto(self.sim.device(), s, k))),
         };
-        let run = kernel.run_on(&mut self.sim, s, a).expect("valid dims");
+        let run = self.memoized(
+            || RunKey::new(OpKind::Spmm, plan, s, k, 1),
+            |sim| kernel.run_on(sim, s, a).expect("valid dims"),
+        );
         self.charge_launch(run.report.cycles + run.preprocess.map_or(0, |p| p.cycles));
         run.output
     }
 
     fn sddmm(&mut self, s: &Hybrid, a1: &Dense, a2t: &Dense) -> Vec<f32> {
         let k = a1.cols();
+        let plan = self.plan(OpKind::Sddmm, s, k, 1);
         let kernel: Box<dyn SddmmKernel> = match self.choice {
             KernelChoice::Baseline => Box::new(DglSddmm),
-            _ => self
-                .plan(OpKind::Sddmm, s, k, 1)
+            _ => plan
+                .as_ref()
                 .and_then(|plan| instantiate_sddmm(&plan.candidate()))
                 .unwrap_or_else(|| Box::new(HpSddmm::auto(self.sim.device(), s, k))),
         };
-        let run = kernel
-            .run_on(&mut self.sim, s, a1, a2t)
-            .expect("valid dims");
+        let run = self.memoized(
+            || RunKey::new(OpKind::Sddmm, plan, s, k, 1),
+            |sim| kernel.run_on(sim, s, a1, a2t).expect("valid dims"),
+        );
         self.charge_launch(run.report.cycles + run.preprocess.map_or(0, |p| p.cycles));
         run.output_values
     }
@@ -325,23 +451,26 @@ impl SparseBackend for SimBackend {
         v: &[Dense],
     ) -> (Vec<Dense>, Vec<Vec<f32>>) {
         let head_dim = q.first().map_or(1, Dense::cols);
-        let fused = match self.choice {
-            KernelChoice::Baseline => None,
-            _ => match self.plan(OpKind::FusedMha, s, head_dim, q.len()) {
-                // The unfused pipeline runs the SDDMM and SpMM plans instead.
-                Some(plan) if !plan.kernel_id.starts_with("hp-fused-mha") => None,
-                plan => Some(
-                    plan.and_then(|plan| instantiate_fused_mha(&plan.candidate()))
-                        .unwrap_or_else(|| HpFusedMha::auto(self.sim.device(), s, head_dim)),
-                ),
-            },
+        let heads = q.len();
+        let plan = match self.choice {
+            KernelChoice::Baseline => return unfused_mha(self, s, q, k, v),
+            _ => self.plan(OpKind::FusedMha, s, head_dim, heads),
         };
-        let Some(kernel) = fused else {
+        // The unfused pipeline runs the SDDMM and SpMM plans instead.
+        if plan
+            .as_ref()
+            .is_some_and(|plan| !plan.kernel_id.starts_with("hp-fused-mha"))
+        {
             return unfused_mha(self, s, q, k, v);
-        };
-        let run = kernel
-            .run_on(&mut self.sim, s, q, k, v)
-            .expect("valid dims");
+        }
+        let kernel = plan
+            .as_ref()
+            .and_then(|plan| instantiate_fused_mha(&plan.candidate()))
+            .unwrap_or_else(|| HpFusedMha::auto(self.sim.device(), s, head_dim));
+        let run = self.memoized(
+            || RunKey::new(OpKind::FusedMha, plan, s, head_dim, heads),
+            |sim| kernel.run_on(sim, s, q, k, v).expect("valid dims"),
+        );
         for report in &run.reports {
             self.charge_launch(report.cycles);
         }
@@ -599,6 +728,118 @@ mod tests {
             assert_eq!(b.sim_mut().unwrap().device_index(), Some(2), "{}", b.name());
         }
         assert!(CpuBackend::new().sim_mut().is_none());
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_structure_change_misses_the_launch_memo() {
+        let s = small_graph();
+        // Same shape and non-zero count, one column moved.
+        let mut triplets: Vec<_> = s.iter().collect();
+        triplets[6].1 = 3;
+        let moved = Hybrid::from_triplets(6, 6, &triplets).unwrap();
+        assert_ne!(moved.col_indices(), s.col_indices());
+        let a = Dense::from_fn(6, 16, |i, j| (i + j) as f32);
+        for mut b in sim_backends() {
+            b.spmm(&s, &a);
+            b.spmm(&moved, &a);
+            assert_eq!(
+                (b.launch_replays(), b.launch_records()),
+                (0, 2),
+                "{}",
+                b.name()
+            );
+        }
+    }
+
+    #[test]
+    fn a_value_change_replays_with_fresh_numerics() {
+        let s = small_graph();
+        let mut reweighted = s.clone();
+        reweighted.set_values(s.values().iter().map(|v| v * -1.5 + 0.25).collect());
+        let a = Dense::from_fn(6, 16, |i, j| ((i * 16 + j) as f32 * 0.05).sin());
+        let a2 = Dense::from_fn(6, 16, |i, j| ((i * 3 + j) as f32 * 0.07).cos());
+        for (mut warm, mut cold) in sim_backends().into_iter().zip(sim_backends()) {
+            warm.spmm(&s, &a);
+            warm.sddmm(&s, &a, &a2);
+            let before = warm.sparse_cycles();
+            let out = warm.spmm(&reweighted, &a2);
+            let sd = warm.sddmm(&reweighted, &a2, &a);
+            assert_eq!(warm.launch_replays(), 2, "{}", warm.name());
+
+            let want_out = cold.spmm(&reweighted, &a2);
+            let want_sd = cold.sddmm(&reweighted, &a2, &a);
+            assert_eq!(cold.launch_replays(), 0, "{}", cold.name());
+            assert_eq!(bits(out.data()), bits(want_out.data()), "{}", warm.name());
+            assert_eq!(bits(&sd), bits(&want_sd), "{}", warm.name());
+            assert_eq!(warm.sparse_cycles() - before, cold.sparse_cycles());
+        }
+    }
+
+    #[test]
+    fn attention_replays_with_fresh_numerics() {
+        let s = small_graph();
+        let qkv = |salt| {
+            (
+                heads_for(6, 16, 2, salt),
+                heads_for(6, 16, 2, salt + 1),
+                heads_for(6, 16, 2, salt + 2),
+            )
+        };
+        let ((q1, k1, v1), (q2, k2, v2)) = (qkv(0), qkv(5));
+        for (mut warm, mut cold) in sim_backends().into_iter().zip(sim_backends()) {
+            warm.mha(&s, &q1, &k1, &v1);
+            let (replays, before) = (warm.launch_replays(), warm.sparse_cycles());
+            let (out, attn) = warm.mha(&s, &q2, &k2, &v2);
+            assert!(warm.launch_replays() > replays, "{}", warm.name());
+            let (want_out, want_attn) = cold.mha(&s, &q2, &k2, &v2);
+            for (o, w) in out.iter().zip(&want_out) {
+                assert_eq!(bits(o.data()), bits(w.data()), "{}", warm.name());
+            }
+            assert_eq!(
+                bits(&attn.concat()),
+                bits(&want_attn.concat()),
+                "{}",
+                warm.name()
+            );
+            assert_eq!(warm.sparse_cycles() - before, cold.sparse_cycles());
+        }
+    }
+
+    #[test]
+    fn an_attached_sink_or_tracer_never_replays() {
+        use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl};
+        struct Quiet;
+        impl AccessSink for Quiet {
+            fn begin_launch(&mut self, _: &str, _: u64) {}
+            fn register_buffer(&mut self, _: &BufferDecl) {}
+            fn record(&mut self, _: &AccessEvent) {}
+            fn end_launch(&mut self) {}
+        }
+        let s = small_graph();
+        let a = Dense::from_fn(6, 16, |i, j| (i * j) as f32);
+        for sink in [true, false] {
+            for mut b in sim_backends() {
+                let sim = b.sim_mut().unwrap();
+                if sink {
+                    sim.attach_sink(Box::new(Quiet));
+                } else {
+                    sim.attach_tracer(hpsparse_trace::TraceSession::new());
+                }
+                let first = b.spmm(&s, &a);
+                let again = b.spmm(&s, &a);
+                assert_eq!(bits(first.data()), bits(again.data()));
+                assert_eq!(
+                    (b.launch_replays(), b.launch_records()),
+                    (0, 0),
+                    "{}",
+                    b.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -71,20 +71,21 @@ pub fn matmul_transpose_a(a: &Dense, b: &Dense) -> Dense {
 /// `C = A · Bᵀ` (`m×k` times `n×k`ᵀ): used for input gradients `dY·Wᵀ`.
 pub fn matmul_transpose_b(a: &Dense, b: &Dense) -> Dense {
     assert_eq!(a.cols(), b.cols(), "matmul_transpose_b inner dimensions");
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
+    let (m, n) = (a.rows(), b.rows());
+    // A row's `n` outputs accumulate together over `kk` against `Bᵀ`, so
+    // the inner loop is independent adds instead of one serial dot product
+    // per element. Each element still sums `a[i][kk] * b[j][kk]` from 0.0
+    // in ascending `kk`: the result is the same bits.
+    let bt = b.transpose();
     let mut c = Dense::zeros(m, n);
     c.data_mut()
         .par_chunks_mut(n)
         .enumerate()
         .for_each(|(i, c_row)| {
-            let a_row = a.row(i);
-            for (j, c_val) in c_row.iter_mut().enumerate() {
-                let b_row = b.row(j);
-                let mut acc = 0f32;
-                for kk in 0..k {
-                    acc += a_row[kk] * b_row[kk];
+            for (kk, &av) in a.row(i).iter().enumerate() {
+                for (c_val, &bv) in c_row.iter_mut().zip(bt.row(kk)) {
+                    *c_val += av * bv;
                 }
-                *c_val = acc;
             }
         });
     c
@@ -213,6 +214,50 @@ mod tests {
         let via_helper = matmul_transpose_b(&c, &d);
         let via_transpose = matmul(&c, &d.transpose());
         assert!(via_helper.approx_eq(&via_transpose, 1e-5, 1e-6));
+    }
+
+    /// `matmul_transpose_b` is bit-identical to one dot product per
+    /// element, summed from 0.0 in ascending `kk`.
+    #[test]
+    fn matmul_transpose_b_matches_per_element_dot_products_bitwise() {
+        let dot_per_element = |a: &Dense, b: &Dense| {
+            Dense::from_fn(a.rows(), b.rows(), |i, j| {
+                let mut acc = 0f32;
+                for kk in 0..a.cols() {
+                    acc += a.get(i, kk) * b.get(j, kk);
+                }
+                acc
+            })
+        };
+        let bits = |d: &Dense| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Values spanning magnitudes and signs (including -0.0), so any
+        // change of summation order shows in the low bits.
+        let val = |seed: usize| {
+            move |i: usize, j: usize| {
+                let x = ((i * 131 + j * 71 + seed * 17) % 97) as f32 - 48.0;
+                if x == 0.0 {
+                    -0.0
+                } else {
+                    x * 10f32.powi(((i + j + seed) % 7) as i32 - 3) / 7.0
+                }
+            }
+        };
+        for (m, k, n) in [
+            (1, 1, 1),
+            (7, 5, 3),
+            (33, 32, 32),
+            (64, 32, 32),
+            (5, 13, 9),
+            (3, 0, 4),
+        ] {
+            let a = Dense::from_fn(m, k, val(1));
+            let b = Dense::from_fn(n, k, val(2));
+            assert_eq!(
+                bits(&matmul_transpose_b(&a, &b)),
+                bits(&dot_per_element(&a, &b)),
+                "{m}x{k} . ({n}x{k})^T"
+            );
+        }
     }
 
     #[test]

@@ -48,8 +48,9 @@ fn probe16(ways: &mut [u32; 16], key: u32) -> bool {
 /// Low bits of every tagword reserved for the reset epoch. With 8 bits the
 /// full-clear fallback runs once per 255 resets; the tag keeps 24 bits for
 /// the sector's above-set-index bits, bounding the modelled address space at
-/// `num_sets * 2^24` sectors (4 TiB for a V100-sized L2) — asserted in
-/// debug builds.
+/// `num_sets * 2^24` sectors (4 TiB for a V100-sized L2). The probes only
+/// `debug_assert!` the bound; [`SectorCache::address_limit`] exposes it so
+/// the allocator can enforce it once per allocation in every build.
 const EPOCH_BITS: u32 = 8;
 const EPOCH_MAX: u32 = (1 << EPOCH_BITS) - 1;
 
@@ -137,6 +138,13 @@ impl SectorCache {
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// One past the highest byte address the cache can tell apart from
+    /// every lower one: `num_sets * 2^24` sectors. Beyond it the packed
+    /// tag drops high bits and a new sector can alias an old one.
+    pub fn address_limit(&self) -> u64 {
+        ((self.num_sets as u64) << (32 - EPOCH_BITS)) * SECTOR_BYTES as u64
     }
 
     /// Probes the cache with a byte address; inserts the sector on miss.
@@ -259,6 +267,14 @@ impl SectorCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn address_limit_is_num_sets_times_tag_space() {
+        // V100: 6 MiB / 32 B / 16 ways = 12 288 sets, rounded down to 8192;
+        // 8192 sets x 2^24 tags x 32 B = 4 TiB.
+        assert_eq!(SectorCache::new(6 << 20, 16).address_limit(), 1 << 42);
+        assert_eq!(SectorCache::new(1024, 4).address_limit(), 8 << 29);
+    }
 
     #[test]
     fn first_access_misses_second_hits() {

@@ -19,6 +19,26 @@
 //!
 //! Both run the same single wave loop in [`GpuSim::launch_named`]; the
 //! engine only changes how a [`WarpTally`] expands each warp's accesses.
+//!
+//! # Record and replay
+//!
+//! [`GpuSim::record`] keeps the report of every launch a closure makes.
+//! [`GpuSim::replay`] runs the same closure again with numerics only: each
+//! launch calls `body` once per warp, in ascending warp order, on a tally
+//! whose accounting calls all return at once, and hands back the next
+//! recorded report. A replay never probes or changes the L2 and never
+//! reaches an attached sink or tracer. A replayed launch whose name or warp
+//! count differs from the recorded one panics, as does a launch too many
+//! or too few.
+//!
+//! Replay is sound for a kernel run whose reports depend only on the
+//! kernel, the sparsity structure and the dense shapes. That holds for
+//! every kernel in this workspace on a fresh run: each run allocates fresh
+//! buffers, a fresh address never matches a stale L2 line (so leftover
+//! contents act like empty ways), a 256-aligned base shift only rotates
+//! the set mapping, and no kernel's accounting reads values. The caller
+//! decides when two runs are the same; `hpsparse-gnn`'s `SimBackend` keys
+//! them on exactly those inputs.
 
 use crate::cache::SectorCache;
 use crate::device::{CostEngine, DeviceSpec};
@@ -27,6 +47,7 @@ use crate::occupancy::{occupancy_of, tail_utilization, waves, KernelResources};
 use crate::sink::{AccessSink, BufferDecl, BufferRole};
 use crate::tally::{WarpCounters, WarpTally};
 use hpsparse_trace::{names, LaunchTimeline, MetricsRegistry, TraceSession};
+use std::sync::Arc;
 
 /// No kernel completes faster than the pipeline fill/drain floor
 /// (~1.5 µs): microscopic launches — tiny sampled subgraphs — are
@@ -225,6 +246,33 @@ impl serde_json::ToJson for LaunchReport {
     }
 }
 
+/// One launch kept by [`GpuSim::record`]: the identity a replayed launch
+/// must match, and the report the replay returns.
+#[derive(Debug)]
+struct RecordedLaunch {
+    name: Box<str>,
+    num_warps: u64,
+    report: LaunchReport,
+}
+
+/// The launches one closure made under [`GpuSim::record`], in launch
+/// order; pass it to [`GpuSim::replay`]. Clones share the reports.
+#[derive(Debug, Clone)]
+pub struct LaunchRecording(Arc<[RecordedLaunch]>);
+
+/// What [`GpuSim::launch_named`] does with a launch besides simulating it.
+enum LaunchLog {
+    /// Simulate only.
+    Off,
+    /// Simulate and keep the report.
+    Record(Vec<RecordedLaunch>),
+    /// Run numerics only and return `launches[next]`.
+    Replay {
+        launches: LaunchRecording,
+        next: usize,
+    },
+}
+
 /// The simulated GPU: a device spec plus mutable L2 state that persists
 /// across launches (reset it for cold-cache measurements).
 pub struct GpuSim {
@@ -249,6 +297,8 @@ pub struct GpuSim {
     /// launches into device `d`'s Perfetto lane group; `None` (the
     /// default) keeps the single-device layout. Never affects costs.
     device_index: Option<u32>,
+    /// Record/replay state (see the module docs).
+    log: LaunchLog,
 }
 
 impl GpuSim {
@@ -266,6 +316,7 @@ impl GpuSim {
             engine: crate::device::default_engine(),
             tracer: None,
             device_index: None,
+            log: LaunchLog::Off,
         }
     }
 
@@ -370,6 +421,16 @@ impl GpuSim {
         role: BufferRole,
     ) -> crate::memory::Buffer {
         let buf = self.memory.alloc_elems(n);
+        // Checked here, once per allocation, rather than on the probe path:
+        // past the L2 model's address limit a fresh sector could alias an
+        // old one and score a false hit.
+        assert!(
+            self.memory.high_water() <= self.l2.address_limit(),
+            "logical device memory exhausted: allocating `{name}` ends at byte {}, \
+             but the L2 model tells addresses apart only below {}",
+            self.memory.high_water(),
+            self.l2.address_limit()
+        );
         let decl = BufferDecl {
             name,
             role,
@@ -393,6 +454,57 @@ impl GpuSim {
         self.l2.hit_rate()
     }
 
+    /// Runs `f` and returns its result with the report of every launch it
+    /// made, in order. The launches are simulated as usual.
+    ///
+    /// # Panics
+    ///
+    /// If called inside another `record` or `replay`.
+    pub fn record<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, LaunchRecording) {
+        self.begin_log(LaunchLog::Record(Vec::new()));
+        let out = f(self);
+        let LaunchLog::Record(launches) = std::mem::replace(&mut self.log, LaunchLog::Off) else {
+            unreachable!("the log mode is only changed by record and replay")
+        };
+        (out, LaunchRecording(launches.into()))
+    }
+
+    /// Runs `f` with every launch replayed from `recording` instead of
+    /// simulated (see the module docs): kernel bodies compute their
+    /// outputs, the reports come from the recording, and the L2, any sink
+    /// and any tracer are left alone.
+    ///
+    /// # Panics
+    ///
+    /// If called inside another `record` or `replay`; if a launch's name
+    /// or warp count differs from the recorded one; if `f` makes more or
+    /// fewer launches than were recorded.
+    pub fn replay<R>(&mut self, recording: &LaunchRecording, f: impl FnOnce(&mut Self) -> R) -> R {
+        self.begin_log(LaunchLog::Replay {
+            launches: recording.clone(),
+            next: 0,
+        });
+        let out = f(self);
+        let LaunchLog::Replay { launches, next } = std::mem::replace(&mut self.log, LaunchLog::Off)
+        else {
+            unreachable!("the log mode is only changed by record and replay")
+        };
+        let recorded = launches.0.len();
+        assert_eq!(
+            next, recorded,
+            "replay made {next} of {recorded} recorded launches"
+        );
+        out
+    }
+
+    fn begin_log(&mut self, log: LaunchLog) {
+        assert!(
+            matches!(self.log, LaunchLog::Off),
+            "GpuSim record/replay do not nest"
+        );
+        self.log = log;
+    }
+
     /// Runs a kernel: `body(warp_id, tally)` is invoked once per warp, in
     /// block-scheduling order, and must record the warp's events on the
     /// tally. Returns the profile of the launch.
@@ -413,6 +525,25 @@ impl GpuSim {
     where
         F: FnMut(u64, &mut WarpTally),
     {
+        if let LaunchLog::Replay { launches, next } = &mut self.log {
+            let recorded = launches.0.get(*next).unwrap_or_else(|| {
+                panic!("replay: launch `{name}` is past the {} recorded", *next)
+            });
+            assert!(
+                *recorded.name == *name && recorded.num_warps == config.num_warps,
+                "replay: launch {} is `{name}` with {} warps, recorded as `{}` with {}",
+                *next,
+                config.num_warps,
+                recorded.name,
+                recorded.num_warps
+            );
+            *next += 1;
+            let mut tally = WarpTally::numerics_only(&mut self.l2, self.device.warp_size);
+            for warp_id in 0..config.num_warps {
+                body(warp_id, &mut tally);
+            }
+            return recorded.report.clone();
+        }
         if let Some(sink) = self.sink.as_mut() {
             sink.begin_launch(name, config.num_warps);
         }
@@ -556,6 +687,13 @@ impl GpuSim {
                 crate::attribution::attribute(&report, &self.device)
                     .record_metrics(&t.metrics(), name);
             }
+        }
+        if let LaunchLog::Record(launches) = &mut self.log {
+            launches.push(RecordedLaunch {
+                name: name.into(),
+                num_warps: config.num_warps,
+                report: report.clone(),
+            });
         }
         report
     }
@@ -824,6 +962,123 @@ mod tests {
         let cold = sim.launch(cfg, |_, t| t.global_read(0, 4096, 4));
         assert!(warm.totals.dram_sectors < first.totals.dram_sectors.max(1));
         assert_eq!(cold.totals.dram_sectors, first.totals.dram_sectors);
+    }
+
+    #[test]
+    fn allocation_past_the_l2_address_limit_panics() {
+        let mut sim = GpuSim::new(DeviceSpec::v100());
+        let limit = sim.l2.address_limit();
+        // Allocation starts at byte 256, so this one ends exactly at the
+        // limit. Logical buffers are free, whatever their size.
+        sim.alloc_elems(((limit - 256) / 4) as usize);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.alloc_input(1, "one-too-many");
+        }))
+        .expect_err("the allocation past the limit must panic");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("one-too-many"), "{msg}");
+    }
+
+    /// Two launches reading and atomically updating one buffer; `out`
+    /// receives each warp's id in visiting order.
+    fn two_launches(sim: &mut GpuSim, out: &mut Vec<u64>) -> Vec<LaunchReport> {
+        let data = sim.alloc_input(4096, "data");
+        let cfg = LaunchConfig {
+            num_warps: 70,
+            resources: small_res(),
+        };
+        let a = sim.launch_named("first", cfg, |w, t| {
+            out.push(w);
+            t.compute(5 + w % 3);
+            t.global_read(data.addr((w % 9) * 256), 512, 4);
+            t.global_atomic(data.addr(w * 4), 4);
+        });
+        let b = sim.launch_named("second", cfg, |w, t| {
+            out.push(w);
+            t.global_gather((0..32).map(|i| data.addr((w * 7 + i * 33) % 4096 * 4)), 4);
+        });
+        vec![a, b]
+    }
+
+    #[test]
+    fn replay_returns_recorded_reports_and_leaves_the_l2_alone() {
+        let mut sim = GpuSim::new(DeviceSpec::v100());
+        let mut order = Vec::new();
+        let (reports, rec) = sim.record(|sim| two_launches(sim, &mut order));
+        assert_eq!(rec.0.len(), 2);
+        let (hits, misses) = (sim.l2.hits(), sim.l2.misses());
+
+        let mut replay_order = Vec::new();
+        let replayed = sim.replay(&rec, |sim| two_launches(sim, &mut replay_order));
+        assert_eq!(replayed, reports);
+        assert_eq!(replay_order, order, "every warp, in ascending order");
+        assert_eq!((sim.l2.hits(), sim.l2.misses()), (hits, misses));
+
+        // A warm simulation of the same run reports what the recording
+        // holds: fresh buffers never hit the earlier lines.
+        assert_eq!(two_launches(&mut sim, &mut Vec::new()), reports);
+    }
+
+    #[test]
+    fn replay_is_hidden_from_sinks_and_tracers() {
+        use crate::sink::{AccessEvent, AccessSink, BufferDecl};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Launches(Arc<AtomicUsize>);
+        impl AccessSink for Launches {
+            fn begin_launch(&mut self, _: &str, _: u64) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+            fn register_buffer(&mut self, _: &BufferDecl) {}
+            fn record(&mut self, _: &AccessEvent) {}
+            fn end_launch(&mut self) {}
+        }
+        let mut sim = GpuSim::new(DeviceSpec::v100());
+        let (_, rec) = sim.record(|sim| two_launches(sim, &mut Vec::new()));
+        let seen = Arc::new(AtomicUsize::new(0));
+        sim.attach_sink(Box::new(Launches(Arc::clone(&seen))));
+        let session = TraceSession::new();
+        sim.attach_tracer(session.clone());
+        sim.replay(&rec, |sim| two_launches(sim, &mut Vec::new()));
+        assert_eq!(seen.load(Ordering::Relaxed), 0);
+        assert!(session
+            .metrics()
+            .get("launch.first.launch__count.sum")
+            .is_none());
+    }
+
+    fn replay_panic(f: impl FnOnce(&mut GpuSim, &LaunchRecording)) -> String {
+        let mut sim = GpuSim::new(DeviceSpec::v100());
+        let (_, rec) = sim.record(|sim| two_launches(sim, &mut Vec::new()));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut sim, &rec)))
+            .expect_err("a mismatched replay must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn mismatched_replays_panic() {
+        let cfg = |num_warps| LaunchConfig {
+            num_warps,
+            resources: small_res(),
+        };
+        let renamed = replay_panic(|sim, rec| {
+            sim.replay(rec, |sim| sim.launch_named("other", cfg(70), |_, _| {}));
+        });
+        assert!(renamed.contains("recorded as `first`"), "{renamed}");
+        let resized = replay_panic(|sim, rec| {
+            sim.replay(rec, |sim| sim.launch_named("first", cfg(71), |_, _| {}));
+        });
+        assert!(resized.contains("with 70"), "{resized}");
+        let leftover = replay_panic(|sim, rec| {
+            sim.replay(rec, |sim| sim.launch_named("first", cfg(70), |_, _| {}));
+        });
+        assert!(leftover.contains("made 1 of 2"), "{leftover}");
+        let missing = replay_panic(|sim, rec| {
+            sim.replay(rec, |sim| {
+                two_launches(sim, &mut Vec::new());
+                sim.launch_named("third", cfg(1), |_, _| {});
+            });
+        });
+        assert!(missing.contains("past the 2 recorded"), "{missing}");
     }
 
     /// A messy three-launch workload touching every probe path: runs (with

@@ -43,7 +43,7 @@ pub use attribution::{attribute, Attribution, Bound};
 pub use cache::SectorCache;
 pub use device::{default_engine, set_default_engine, CostEngine, CostModel, DeviceSpec};
 pub use interconnect::{LinkKind, LinkSpec, LinkTimeline, TransferDescriptor};
-pub use launch::{GpuSim, LaunchConfig, LaunchReport};
+pub use launch::{GpuSim, LaunchConfig, LaunchRecording, LaunchReport};
 pub use memory::{Buffer, MemorySpace, SECTOR_BYTES};
 pub use occupancy::{occupancy_of, tail_stretch, KernelResources, Occupancy};
 pub use sink::{AccessEvent, AccessKind, AccessSink, BufferDecl, BufferRole};

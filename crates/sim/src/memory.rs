@@ -78,6 +78,12 @@ impl MemorySpace {
     pub fn alloc_elems(&mut self, n: usize) -> Buffer {
         self.alloc(n as u64 * 4)
     }
+
+    /// One past the highest byte address handed out so far. The allocator
+    /// never frees, so this only grows.
+    pub fn high_water(&self) -> u64 {
+        self.next
+    }
 }
 
 /// Enumerates the 32-byte sector addresses a contiguous byte range touches.

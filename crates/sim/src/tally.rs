@@ -32,6 +32,12 @@
 //!   alignment class into the key. Memoization is disabled in reference
 //!   mode and whenever a sink is attached.
 //!
+//! A third mode, [`WarpTally::numerics_only`], accounts nothing at all:
+//! every accounting call returns at once, so a kernel body run on it only
+//! computes its outputs. [`GpuSim::replay`] uses it for launches whose
+//! reports were recorded earlier.
+//!
+//! [`GpuSim::replay`]: crate::GpuSim::replay
 //! [`global_read_strided`]: WarpTally::global_read_strided
 //! [`global_write_strided`]: WarpTally::global_write_strided
 //! [`gather_rows`]: WarpTally::gather_rows
@@ -186,6 +192,9 @@ pub struct WarpTally<'a> {
     /// Launch-global id of the warp currently being simulated, stamped onto
     /// every forwarded event.
     warp: u64,
+    /// Numerics-only mode: every accounting call returns at once, with no
+    /// probe and no counter update.
+    numerics_only: bool,
 }
 
 impl<'a> WarpTally<'a> {
@@ -214,7 +223,20 @@ impl<'a> WarpTally<'a> {
             reference: false,
             sink,
             warp: 0,
+            numerics_only: false,
         }
+    }
+
+    /// Creates a tally that accounts nothing: every accounting call returns
+    /// at once, leaving `cache` untouched and the counters at zero. Kernel
+    /// bodies run on it compute their outputs only (used by
+    /// [`GpuSim::replay`]).
+    ///
+    /// [`GpuSim::replay`]: crate::GpuSim::replay
+    pub fn numerics_only(cache: &'a mut SectorCache, warp_size: u32) -> Self {
+        let mut tally = Self::new(cache, warp_size);
+        tally.numerics_only = true;
+        tally
     }
 
     /// Selects the reference engine: descriptors expand element-wise and
@@ -256,7 +278,7 @@ impl<'a> WarpTally<'a> {
     /// live, so data-dependent coalescing is fine). No-op in reference mode
     /// or with a sink attached.
     pub fn begin_memo(&mut self, sig: u64) {
-        if self.expand_elementwise() {
+        if self.numerics_only || self.expand_elementwise() {
             return;
         }
         debug_assert!(
@@ -380,6 +402,9 @@ impl<'a> WarpTally<'a> {
     /// issue the vectorized form; the model falls back to scalar loads —
     /// the instruction-count penalty HVMA eliminates by aligning tiles.
     pub fn global_read(&mut self, addr: u64, len_bytes: u64, vw: u32) {
+        if self.numerics_only {
+            return;
+        }
         if !self.probing() {
             let eff_vw = if vector_aligned(addr, vw) { vw } else { 1 };
             let elems = len_bytes / 4;
@@ -397,6 +422,9 @@ impl<'a> WarpTally<'a> {
     /// stream never displaces reusable lines. Instruction, byte, and sink
     /// accounting match [`WarpTally::global_read`].
     pub fn global_read_streaming(&mut self, addr: u64, len_bytes: u64, vw: u32) {
+        if self.numerics_only {
+            return;
+        }
         if !self.probing() {
             let eff_vw = if vector_aligned(addr, vw) { vw } else { 1 };
             let elems = len_bytes / 4;
@@ -415,6 +443,9 @@ impl<'a> WarpTally<'a> {
 
     /// A coalesced warp write, same shape as [`WarpTally::global_read`].
     pub fn global_write(&mut self, addr: u64, len_bytes: u64, vw: u32) {
+        if self.numerics_only {
+            return;
+        }
         if !self.probing() {
             let eff_vw = if vector_aligned(addr, vw) { vw } else { 1 };
             let elems = len_bytes / 4;
@@ -463,6 +494,9 @@ impl<'a> WarpTally<'a> {
         len_bytes: u64,
         vw: u32,
     ) {
+        if self.numerics_only {
+            return;
+        }
         let one = |t: &mut Self, addr: u64| match kind {
             AccessKind::Write => t.global_write(addr, len_bytes, vw),
             _ => t.global_read(addr, len_bytes, vw),
@@ -520,6 +554,9 @@ impl<'a> WarpTally<'a> {
         chunk_elems: u64,
         vw: u32,
     ) {
+        if self.numerics_only {
+            return;
+        }
         let chunk = chunk_elems.max(1);
         for &c in indices {
             let row_base = base + (c as u64 * row_stride + first) * 4;
@@ -568,6 +605,9 @@ impl<'a> WarpTally<'a> {
         steps: u64,
         bytes_each: u64,
     ) {
+        if self.numerics_only {
+            return;
+        }
         // The sorted fast path needs each lane access to stay inside one
         // sector: 4-byte-aligned addresses of at most 4 bytes.
         let single_sector = base.is_multiple_of(4) && bytes_each > 0 && bytes_each <= 4;
@@ -631,6 +671,9 @@ impl<'a> WarpTally<'a> {
         addrs: impl IntoIterator<Item = u64>,
         bytes_each: u64,
     ) {
+        if self.numerics_only {
+            return;
+        }
         let probing = self.probing();
         if !probing {
             self.counters.instructions += 1;
@@ -662,6 +705,9 @@ impl<'a> WarpTally<'a> {
     /// `lanes` lanes participate, writing `bytes_each` each to a contiguous
     /// region starting at `addr`.
     pub fn global_atomic(&mut self, addr: u64, len_bytes: u64) {
+        if self.numerics_only {
+            return;
+        }
         if !self.probing() {
             self.counters.atomics += 1;
             self.emit(AccessKind::Atomic, addr, len_bytes, 1);
@@ -676,6 +722,9 @@ impl<'a> WarpTally<'a> {
     /// its set's LRU way, so an output region touched once (or by a burst
     /// of temporally-adjacent warps) never displaces reusable lines.
     pub fn global_atomic_streaming(&mut self, addr: u64, len_bytes: u64) {
+        if self.numerics_only {
+            return;
+        }
         if !self.probing() {
             self.counters.atomics += 1;
             self.emit(AccessKind::Atomic, addr, len_bytes, 1);
@@ -690,6 +739,9 @@ impl<'a> WarpTally<'a> {
 
     /// `n` warp-level shared-memory operations (conflict-free).
     pub fn shared_op(&mut self, n: u64) {
+        if self.numerics_only {
+            return;
+        }
         if !self.probing() {
             self.counters.shared_ops += n;
         }
@@ -712,6 +764,9 @@ impl<'a> WarpTally<'a> {
 
     /// `n` compute (FMA / integer / control) warp instructions.
     pub fn compute(&mut self, n: u64) {
+        if self.numerics_only {
+            return;
+        }
         if !self.probing() {
             self.counters.instructions += n;
         }
@@ -720,6 +775,9 @@ impl<'a> WarpTally<'a> {
     /// A tree reduction across `width` lanes using warp shuffles
     /// (`log2(width)` steps), as HP-SDDMM's `WarpReduce` (Algorithm 4).
     pub fn shuffle_reduce(&mut self, width: u32) {
+        if self.numerics_only {
+            return;
+        }
         if !self.probing() {
             let steps = 32 - (width.max(1) - 1).leading_zeros();
             self.counters.shuffles += steps as u64;
@@ -729,7 +787,7 @@ impl<'a> WarpTally<'a> {
     /// `n` Tensor-Core MMA instructions (TC-GNN baseline only); charged via
     /// the instruction counter at the MMA cost ratio by the caller.
     pub fn tensor_mma(&mut self, n: u64, cost: &CostModel) {
-        if self.probing() {
+        if self.numerics_only || self.probing() {
             return;
         }
         // MMA issue occupies the pipeline for `tensor_mma` cycles each; we
@@ -1039,6 +1097,31 @@ mod tests {
         assert_eq!(c2, r2);
         assert_eq!(cache.hits(), ref_cache.hits());
         assert_eq!(cache.misses(), ref_cache.misses());
+    }
+
+    #[test]
+    fn numerics_only_tally_accounts_nothing() {
+        let mut cache = mk_cache();
+        let mut t = WarpTally::numerics_only(&mut cache, 32);
+        let idx = [17u32, 3, 250];
+        t.begin_memo(3);
+        t.compute(5);
+        t.shared_read(64);
+        t.shuffle_reduce(32);
+        t.tensor_mma(4, &CostModel::default());
+        t.global_read(256, 512, 4);
+        t.global_read_streaming(1024, 64, 1);
+        t.global_write(2048, 128, 4);
+        t.global_read_strided(260, 100, 5, 64, 2);
+        t.global_write_strided(512, 64, 9, 64, 4);
+        t.gather_rows(256, &idx, 64, 0, 64, 64, 4);
+        t.global_gather((0..32u64).map(|i| i * 128), 4);
+        t.global_scatter((0..32u64).map(|i| i * 128), 4);
+        t.global_gather_stepped(256, &idx, 300, 0, 300, 16, 4);
+        t.global_atomic(0, 128);
+        t.global_atomic_streaming(4096, 64);
+        assert_eq!(t.take_counters(), WarpCounters::default());
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]

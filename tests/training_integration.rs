@@ -61,6 +61,61 @@ fn backends_produce_identical_training_trajectories() {
     }
 }
 
+/// Full-graph epochs issue the same sparse launches every epoch, so the
+/// backend simulates the first epoch's launches and replays the rest. A
+/// tracer turns the replay off; the traced run must agree bit for bit.
+#[test]
+fn replayed_epochs_train_exactly_like_simulated_ones() {
+    const EPOCHS: usize = 4;
+    let (g, x, y) = problem(6);
+    let cfg = |epochs| TrainConfig {
+        epochs,
+        lr: 0.02,
+        ..Default::default()
+    };
+    let backends = || {
+        [
+            SimBackend::hp(DeviceSpec::v100()),
+            SimBackend::baseline(DeviceSpec::v100()),
+            SimBackend::new(DeviceSpec::v100()),
+        ]
+    };
+    for ((mut one, mut plain), mut traced) in backends().into_iter().zip(backends()).zip(backends())
+    {
+        let name = plain.name();
+        train_full_graph(&mut one, &g, &x, &y, model(), cfg(1));
+        let per_epoch = one.launch_replays() + one.launch_records();
+        assert!(per_epoch > 0, "{name}");
+
+        traced
+            .sim_mut()
+            .expect("simulated backend")
+            .attach_tracer(hpsparse_trace::TraceSession::new());
+        let (_, want) = train_full_graph(&mut traced, &g, &x, &y, model(), cfg(EPOCHS));
+        let (_, got) = train_full_graph(&mut plain, &g, &x, &y, model(), cfg(EPOCHS));
+
+        let bits = |l: &[f32]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.losses), bits(&want.losses), "{name}");
+        assert_eq!(plain.sparse_cycles(), traced.sparse_cycles(), "{name}");
+        assert_eq!(plain.dense_cycles(), traced.dense_cycles(), "{name}");
+        assert_eq!(
+            (traced.launch_replays(), traced.launch_records()),
+            (0, 0),
+            "{name}: a traced backend never replays"
+        );
+        assert_eq!(
+            plain.launch_records(),
+            one.launch_records(),
+            "{name}: only the first epoch simulates"
+        );
+        assert_eq!(
+            plain.launch_replays() - one.launch_replays(),
+            (EPOCHS as u64 - 1) * per_epoch,
+            "{name}: every later launch replays"
+        );
+    }
+}
+
 #[test]
 fn simulated_costs_account_every_epoch() {
     let (g, x, y) = problem(2);
